@@ -8,8 +8,8 @@ whole-space solution operator with its power profiles.
 """
 
 from .ring import QQ, qq, qq_str, RadialRingElement, monomials, reduced_monomials
-from .errors import (ConsistencyError, ConstructionError, HypothesisError,
-                     InvalidRankError, require_odd_dimension)
+from .errors import (ConsistencyError, HypothesisError, InvalidRankError,
+                     require_odd_dimension)
 from .forms import (Form, GradeError, R_op, T_op, radial_one_form,
                     monomial_average, poly_sphere_average, sphere_inner_product)
 from .harmonic import (SeedSpace, seed_basis, mu, harmonic_dimension, project,
@@ -17,8 +17,8 @@ from .harmonic import (SeedSpace, seed_basis, mu, harmonic_dimension, project,
 from .towers import (TowerIndex, TowerFamily, TowerContext,
                      ExceptionalFormDescriptor, a_chain, b_chain,
                      build_tower_pair, exceptional_form, homogeneity_degree,
-                     tower_coefficient, tower_coefficient_closed,
-                     verify_family, verify_low_floor_harmonicity)
+                     tower_coefficient, verify_family,
+                     verify_low_floor_harmonicity)
 from .indices import (enumerate_excluded, excluded_empty_weight_bound,
                       exceptional_weights, in_weighted_l2,
                       is_exceptional_weight, multiplicity, negate_index,
@@ -35,16 +35,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ", "qq", "qq_str", "RadialRingElement", "monomials", "reduced_monomials",
-    "ConsistencyError", "ConstructionError", "HypothesisError",
-    "InvalidRankError", "require_odd_dimension",
+    "ConsistencyError", "HypothesisError", "InvalidRankError",
+    "require_odd_dimension",
     "Form", "GradeError", "R_op", "T_op", "radial_one_form",
     "monomial_average", "poly_sphere_average", "sphere_inner_product",
     "SeedSpace", "seed_basis", "mu", "harmonic_dimension", "project",
     "clear_cache",
     "TowerIndex", "TowerFamily", "TowerContext", "ExceptionalFormDescriptor",
     "a_chain", "b_chain", "build_tower_pair", "exceptional_form",
-    "homogeneity_degree", "tower_coefficient", "tower_coefficient_closed",
-    "verify_family", "verify_low_floor_harmonicity",
+    "homogeneity_degree", "tower_coefficient", "verify_family",
+    "verify_low_floor_harmonicity",
     "enumerate_excluded", "excluded_empty_weight_bound", "exceptional_weights",
     "in_weighted_l2", "is_exceptional_weight", "multiplicity", "negate_index",
     "require_hypotheses", "shift_index", "validate_hypotheses",

@@ -39,7 +39,6 @@ class RunConfig:
 
     n: int = 3
     out: str | None = None
-    fmt: str = "json"
     verbose: bool = False
 
     def __post_init__(self):
@@ -77,6 +76,17 @@ class UsageError(Exception):
     pass
 
 
+def _decode(path: str, decode):
+    """decode(the JSON document at path); a wrong-shaped document is a
+    usage error, not an internal fault."""
+    obj = _load_json(path)
+    try:
+        return decode(obj)
+    except (KeyError, TypeError, AttributeError, ValueError,
+            ZeroDivisionError) as ex:
+        raise UsageError(f"invalid input in {path}: {type(ex).__name__}: {ex}")
+
+
 def _parse_sign(word: str):
     signs = {"plus": [1], "minus": [-1], "both": [1, -1]}
     if word not in signs:
@@ -104,18 +114,17 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    obj = _load_json(args.path)
+def _families_from_obj(obj) -> list:
     if obj.get("kind") == "tower_family":
-        fam_objs = [obj]
-    elif obj.get("kind") == "tower_family_set":
-        fam_objs = obj["families"]
-    else:
-        raise UsageError(f"{args.path}: expected a tower_family or "
-                         "tower_family_set document")
+        return [TowerFamily.from_obj(obj)]
+    if obj.get("kind") == "tower_family_set":
+        return [TowerFamily.from_obj(fo) for fo in obj["families"]]
+    raise ValueError("expected a tower_family or tower_family_set document")
+
+
+def cmd_verify(args) -> int:
     all_ok = True
-    for fo in fam_objs:
-        fam = TowerFamily.from_obj(fo)
+    for fam in _decode(args.path, _families_from_obj):
         label = (f"family(n={fam.n},q={fam.q},"
                  f"sign={'+' if fam.sign > 0 else '-'},sigma={fam.sigma})")
         report = verify_family(fam, rebuild=not args.no_rebuild,
@@ -135,7 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_expand(args) -> int:
     cfg = RunConfig(n=3, out=args.out, verbose=args.verbose)
-    pair = MaxwellPair.from_obj(_load_json(args.input))
+    pair = _decode(args.input, MaxwellPair.from_obj)
     cfg.n = pair.n
     ctx = TowerContext(pair.n)
     try:
@@ -165,7 +174,7 @@ def cmd_expand(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = RunConfig(n=3, out=args.out, verbose=args.verbose)
-    form = Form.from_obj(_load_json(args.input))
+    form = _decode(args.input, Form.from_obj)
     cfg.n = form.n
     ctx = TowerContext(form.n)
     rep = lemma34_classify(form, qq_str_to_q(args.weight), ctx)
@@ -181,7 +190,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_indices(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, fmt="csv", verbose=args.verbose)
+    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     s = qq_str_to_q(args.weight)
     if is_exceptional_weight(s, cfg.n):
         _note(f"warning: weight {qq_str(s)} is exceptional; "
@@ -200,7 +209,7 @@ def cmd_indices(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, fmt="csv", verbose=args.verbose)
+    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["weight"])
@@ -214,13 +223,8 @@ def cmd_iterate(args) -> int:
     cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     s = qq_str_to_q(args.weight)
     tau = None if args.tau is None else qq_str_to_q(args.tau)
-    f_coeffs, g_coeffs = {}, {}
-    if args.seed:
-        seed = _load_json(args.seed)
-        for key, target in (("f_coeffs", f_coeffs), ("g_coeffs", g_coeffs)):
-            for row in seed.get(key, []):
-                idx = TowerIndex.from_obj(row)
-                target[idx] = qq_str_to_q(row["coeff"])
+    f_coeffs, g_coeffs = (_decode(args.seed, _profile_seed_from_obj)
+                          if args.seed else ({}, {}))
     try:
         profile = TowerProfile(n=cfg.n, q=args.q, s=s,
                                f_coeffs=f_coeffs, g_coeffs=g_coeffs)
@@ -238,8 +242,15 @@ def cmd_iterate(args) -> int:
     return EXIT_OK
 
 
+def _profile_seed_from_obj(obj) -> tuple:
+    """(f_coeffs, g_coeffs) index -> coefficient maps of a profile seed."""
+    return tuple({TowerIndex.from_obj(row): qq_str_to_q(row["coeff"])
+                  for row in obj.get(key, [])}
+                 for key in ("f_coeffs", "g_coeffs"))
+
+
 def cmd_dims(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, fmt="csv", verbose=args.verbose)
+    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["q\\sigma"] + list(range(args.sigma_max + 1)))

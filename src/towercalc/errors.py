@@ -7,10 +7,6 @@ class InvalidRankError(ValueError):
     """Form rank q outside the admissible range for the requested object."""
 
 
-class ConstructionError(RuntimeError):
-    """A constructive search failed to stabilize (ansatz cap exceeded)."""
-
-
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; the computed object is not trusted."""
 

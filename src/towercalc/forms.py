@@ -4,7 +4,9 @@ A Form of rank q stores nonzero components on strictly increasing 1-based
 index tuples of length q.  All operators are exact:
 
   rot   exterior derivative d (rank q -> q+1)
-  div   codifferential (-1)^((q-1)n) * rot * (rank q -> q-1)
+  div   codifferential (rank q -> q-1), by the index formula
+        div(f dx^I) = sum_t (-1)^(t-1) df/dx_{i_t} dx^(I without i_t),
+        which equals (-1)^((q-1)n) * rot * on odd n
   R_op  wedge with the radial 1-form sum x_i dx^i (rank +1)
   T_op  contraction with the Euler vector field sum x_i d/dx_i (rank -1)
 
@@ -17,7 +19,6 @@ from __future__ import annotations
 from .ring import QQ, RadialRingElement, qq
 
 _Q0 = QQ(0)
-_Q1 = QQ(1)
 
 
 class GradeError(ValueError):
@@ -42,6 +43,16 @@ def _merge_sign(left: tuple, right: tuple) -> int:
             if i > j:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def _accumulate(out: dict, key: tuple, term: RadialRingElement,
+                negate: bool = False) -> None:
+    """out[key] += -term if negate else term.  Sums that cancel stay in out
+    as zero elements; the Form constructor drops them."""
+    if negate:
+        term = -term
+    cur = out.get(key)
+    out[key] = term if cur is None else cur + term
 
 
 class Form:
@@ -91,12 +102,7 @@ class Form:
             raise ValueError("cannot add forms of different shape")
         out = dict(self.components)
         for idx, el in other.components.items():
-            s = out.get(idx)
-            new = el if s is None else s + el
-            if new.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = new
+            _accumulate(out, idx, el)
         return Form(self.n, self.q, out)
 
     def __neg__(self) -> "Form":
@@ -137,26 +143,16 @@ class Form:
             for b_idx, b_el in other.components.items():
                 if a_set & set(b_idx):
                     continue
-                sign = _merge_sign(a_idx, b_idx)
-                key = tuple(sorted(a_idx + b_idx))
-                term = (a_el * b_el).scale(sign)
-                cur = out.get(key)
-                new = term if cur is None else cur + term
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                _accumulate(out, tuple(sorted(a_idx + b_idx)), a_el * b_el,
+                            _merge_sign(a_idx, b_idx) < 0)
         return Form(self.n, self.q + other.q, out)
 
     def hodge_star(self) -> "Form":
         full = tuple(range(1, self.n + 1))
-        out = {}
+        out: dict = {}
         for idx, el in self.components.items():
             comp = tuple(i for i in full if i not in idx)
-            sign = _merge_sign(idx, comp)
-            cur = out.get(comp)
-            term = el.scale(sign)
-            out[comp] = term if cur is None else cur + term
+            _accumulate(out, comp, el, _merge_sign(idx, comp) < 0)
         return Form(self.n, self.n - self.q, out)
 
     # -- differential operators ----------------------------------------------
@@ -175,28 +171,13 @@ class Form:
                 if d.is_zero():
                     continue
                 pos = sum(1 for j in idx if j < i)
-                key = tuple(sorted(idx + (i,)))
-                term = d.scale(-1 if pos % 2 else 1)
-                cur = out.get(key)
-                new = term if cur is None else cur + term
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                _accumulate(out, tuple(sorted(idx + (i,))), d, pos % 2 == 1)
         return Form(self.n, self.q + 1, out)
 
     def div(self) -> "Form":
-        """Codifferential (-1)^((q-1)n) * rot *; GradeError at rank 0."""
-        if self.q == 0:
-            raise GradeError("div undefined on rank-0 forms")
-        sign = -1 if ((self.q - 1) * self.n) % 2 else 1
-        return self.hodge_star().rot().hodge_star().scale(sign)
-
-    def div_direct(self) -> "Form":
-        """Index-formula divergence (independent of the Hodge route).
+        """Codifferential by the index formula; GradeError at rank 0.
 
         div(f dx^I) = sum_t (-1)^(t-1) d f/d x_{i_t} dx^{I w/o i_t}.
-        Kept as a cross-check for div().
         """
         if self.q == 0:
             raise GradeError("div undefined on rank-0 forms")
@@ -206,14 +187,7 @@ class Form:
                 d = el.diff(i)
                 if d.is_zero():
                     continue
-                key = idx[:t] + idx[t + 1:]
-                term = d.scale(-1 if t % 2 else 1)
-                cur = out.get(key)
-                new = term if cur is None else cur + term
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                _accumulate(out, idx[:t] + idx[t + 1:], d, t % 2 == 1)
         return Form(self.n, self.q - 1, out)
 
     def laplacian(self) -> "Form":
@@ -226,15 +200,6 @@ class Form:
             if not acc.is_zero():
                 out[idx] = acc
         return Form(self.n, self.q, out)
-
-    def laplacian_factored(self) -> "Form":
-        """rot div + div rot with grade guards; equals laplacian()."""
-        total = Form.zero(self.n, self.q)
-        if self.q > 0:
-            total = total + self.div().rot()
-        if self.q < self.n:
-            total = total + self.rot().div()
-        return total
 
     # -- radial operators ----------------------------------------------------
 
@@ -252,14 +217,7 @@ class Form:
         for idx, el in self.components.items():
             for t, i in enumerate(idx):
                 xi = RadialRingElement.variable(self.n, i)
-                term = (el * xi).scale(-1 if t % 2 else 1)
-                key = idx[:t] + idx[t + 1:]
-                cur = out.get(key)
-                new = term if cur is None else cur + term
-                if new.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = new
+                _accumulate(out, idx[:t] + idx[t + 1:], el * xi, t % 2 == 1)
         return Form(self.n, self.q - 1, out)
 
     # -- homogeneity ---------------------------------------------------------

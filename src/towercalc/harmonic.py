@@ -8,8 +8,8 @@ those two ranges the only nonzero spaces sit at degree 1-n, ranks 1 and n-1,
 each one-dimensional (the inverse-power radial form and its Hodge dual).
 
 Bases are canonical: the reduced-row-echelon basis of the solution space in
-the fixed coordinate order of forms.coordinate_vectors, so any two strategies
-that find the same space return identical bases.
+the fixed coordinate order of forms.coordinate_vectors, so any solver that
+finds the same space returns the identical basis.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ConsistencyError, ConstructionError, InvalidRankError, \
-    require_odd_dimension
+from .errors import ConsistencyError, InvalidRankError, require_odd_dimension
 from .forms import Form, R_op, T_op, coordinate_vectors, radial_one_form, \
     sphere_inner_product
 from .linalg import nullspace, rref, solve_posdef
-from .ring import QQ, RadialRingElement, monomials, reduced_monomials
+from .ring import QQ, RadialRingElement, monomials
 
 _Q0 = QQ(0)
 
@@ -188,63 +187,16 @@ def _inverse_radial_ghost(n: int) -> Form:
     return radial_one_form(n).mul_r_power(-n)
 
 
-def _solve_direct(n: int, q: int, degree: int, depth_hint=None) -> list:
-    """Escalating general ansatz r^(degree-e) * (reduced monomials of degree e).
-
-    Escalates the depth e <= E until the kernel dimension is stable twice;
-    raises ConstructionError past the hard cap.
-    """
-    cap = abs(degree) + q + 9
-    depth = depth_hint if depth_hint is not None else q + 2
-    # never start below the natural depth scale of the target degree
-    if degree > 0:
-        depth = max(depth, degree)
-    elif degree <= -n:
-        depth = max(depth, -degree - n + 2)
-    depth = max(0, depth)
-    prev_dim = None
-    stable = 0
-    tuples = list(itertools.combinations(range(1, n + 1), q))
-    while depth <= cap:
-        cands = []
-        for e in range(depth + 1):
-            for alpha in reduced_monomials(n, e):
-                el = RadialRingElement(
-                    n, {(degree, degree - e): {alpha: QQ(1)}}, _canonical=True)
-                for idx in tuples:
-                    cands.append(Form(n, q, {idx: el}))
-        kernel = kernel_of_operators(cands, _biclosed_operators(n, q))
-        if prev_dim is not None and len(kernel) == prev_dim:
-            stable += 1
-            if stable >= 2:
-                return kernel
-        else:
-            stable = 0
-        prev_dim = len(kernel)
-        depth += 1
-    raise ConstructionError(
-        f"seed search at n={n} q={q} degree={degree} did not stabilize "
-        f"below depth {cap}")
-
-
-def seed_basis(n: int, q: int, degree: int, strategy: str = "auto",
-               depth_hint=None) -> SeedSpace:
+def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
     """Canonical basis of bi-closed homogeneous rank-q forms of one degree.
 
-    strategy "auto" dispatches on the degree (polynomial solve for
-    degree >= 0, radial-partner kernel for degree <= -n, explicit forms at
-    the two inverse-power slots, empty otherwise).  strategy "direct" runs
-    the escalating general ansatz; it is slower and exists to cross-check
-    "auto".
+    The solve dispatches on the degree: a polynomial kernel for
+    degree >= 0, the radial-partner kernel for degree <= -n, explicit forms
+    at the two inverse-power slots, and the empty space otherwise.
     """
     require_odd_dimension(n)
     if not 0 <= q <= n:
         raise InvalidRankError(f"rank {q} outside 0..{n}")
-    if strategy == "direct":
-        return SeedSpace(n, q, degree,
-                         tuple(_solve_direct(n, q, degree, depth_hint)))
-    if strategy != "auto":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     key = (n, q, degree)
     with _CACHE_LOCK:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import HypothesisError, InvalidRankError, require_odd_dimension
 from .harmonic import mu
 from .ring import QQ, qq, qq_str
-from .towers import TowerIndex, homogeneity_degree
+from .towers import TowerIndex
 
 
 def in_weighted_l2(index: TowerIndex, s, n: int) -> bool:

@@ -74,9 +74,9 @@ def reduced_dimension(n: int, degree: int) -> int:
 # zero coefficients never stored.
 # ---------------------------------------------------------------------------
 
-def _padd_into(acc: dict, poly: dict, scale=_Q1) -> None:
+def _padd_into(acc: dict, poly: dict) -> None:
     for alpha, c in poly.items():
-        new = acc.get(alpha, _Q0) + scale * c
+        new = acc.get(alpha, _Q0) + c
         if new:
             acc[alpha] = new
         else:
@@ -243,18 +243,12 @@ class RadialRingElement:
         """Sorted list of total degrees present."""
         return sorted({d for d, _ in self.parts})
 
-    def r_exponents(self):
-        return sorted({b for _, b in self.parts})
-
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, d: int) -> "RadialRingElement":
         kept = {k: dict(p) for k, p in self.parts.items() if k[0] == d}
         return RadialRingElement(self.n, kept, _canonical=True)
-
-    def min_r_exponent(self):
-        return min((b for _, b in self.parts), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 

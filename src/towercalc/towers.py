@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, InvalidRankError, require_odd_dimension
 from .forms import Form, R_op, T_op, sphere_inner_product
-from .harmonic import echelon_normalize, mu, seed_basis
+from .harmonic import mu, seed_basis
 from .linalg import matrix_rank
 from .ring import QQ, qq, qq_str
 
@@ -53,7 +53,7 @@ class TowerIndex:
 
     def degree(self, n: int) -> int:
         """Coefficient homogeneity degree of the member."""
-        return self.k + self.sigma if self.sign > 0 else self.k - self.sigma - n
+        return homogeneity_degree(self.sign, self.k, self.sigma, n)
 
     def to_obj(self) -> dict:
         return {"sign": "+" if self.sign > 0 else "-", "k": self.k,
@@ -71,6 +71,7 @@ class TowerIndex:
 
 
 def homogeneity_degree(sign: int, k: int, sigma: int, n: int) -> int:
+    """Coefficient degree of floor k: sigma + k growing, k - sigma - n decaying."""
     return k + sigma if sign > 0 else k - sigma - n
 
 
@@ -81,6 +82,11 @@ def tower_coefficient(sign: int, q: int, sigma: int, k: int, n: int) -> QQ:
 
     base a_0 = 1 on the decaying side and
     a_0 = (-1)^(1 + [q=0] + [q=n]) / (2 sigma + n) on the polynomial side.
+
+    These are the ladder scalars of build_tower_pair: with g the floor-0
+    degree, floor 2j+1 is a_j/a_0 r^(2j) R_op(X) / (n+g-q) on the a_chain of
+    a rank-q seed X and a_j/a_0 r^(2j) T_op(Y) / (g+q+1) on the b_chain of a
+    rank-(q+1) seed Y.
     """
     require_odd_dimension(n)
     if sign not in (1, -1):
@@ -97,31 +103,6 @@ def tower_coefficient(sign: int, q: int, sigma: int, k: int, n: int) -> QQ:
     for j in range(1, k + 1):
         a = a / QQ(2 * j * (2 * j + sign * (2 * sigma + n)))
     return a
-
-
-def tower_coefficient_closed(sign: int, q: int, sigma: int, k: int, n: int) -> QQ:
-    """Closed-form product for tower_coefficient (independent evaluation)."""
-    require_odd_dimension(n)
-    if not 0 <= q <= n:
-        raise InvalidRankError(f"rank {q} outside 0..{n}")
-    if sigma < 0 or k < 0:
-        raise ValueError("sigma and k must be nonnegative")
-    half = QQ(n, 2)
-    fourk = QQ(4) ** k
-    fact = _Q1
-    for j in range(2, k + 1):
-        fact = fact * j
-    if sign > 0:
-        expo = 1 + (1 if q == 0 else 0) + (1 if q == n else 0)
-        base = QQ(-1) ** expo / QQ(2 * sigma + n)
-        prod = _Q1
-        for t in range(1, k + 1):
-            prod = prod * (half + sigma + t)
-        return base / (fourk * fact * prod)
-    prod = _Q1
-    for t in range(k):
-        prod = prod * (1 - half - sigma + t)
-    return _Q1 / (fourk * fact * prod)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +282,7 @@ def build_tower_pair(n: int, q: int, sign: int, sigma: int,
     if floors < 0:
         raise ValueError("floors must be >= 0")
 
-    g0 = sigma if sign > 0 else -sigma - n
+    g0 = homogeneity_degree(sign, 0, sigma, n)
     a_seeds = seed_basis(n, q, g0)
     b_seeds = seed_basis(n, q + 1, g0)
 
@@ -343,10 +324,6 @@ def build_tower_pair(n: int, q: int, sign: int, sigma: int,
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-def _is_zero_or_none(f) -> bool:
-    return f is None or f.is_zero()
-
 
 def verify_family(fam: TowerFamily, rebuild: bool = True,
                   independence: bool = True) -> dict:

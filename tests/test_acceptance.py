@@ -22,8 +22,10 @@ from towercalc.ring import QQ, RadialRingElement, qq
 from towercalc.static_op import (TowerProfile, apply_L_profile,
                                  solve_whole_space, verify_recursion)
 from towercalc.towers import (TowerContext, TowerIndex, build_tower_pair,
-                              tower_coefficient, tower_coefficient_closed,
-                              verify_family, verify_low_floor_harmonicity)
+                              tower_coefficient, verify_family,
+                              verify_low_floor_harmonicity)
+
+from oracles import tower_coefficient_closed
 
 SWEEP_BUDGET_SECONDS = 300
 

@@ -103,6 +103,33 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+_ZERO_DEN_PAIR = {
+    "kind": "maxwell_pair", "n": 3, "q": 1,
+    "e": {"n": 3, "q": 1, "components": {"1": [{"degree": 0, "r_exp": 0, "terms": [
+        {"alpha": [0, 0, 0], "coef": "1/0"}]}]}},
+    "h": {"n": 3, "q": 2, "components": {}}}
+
+
+@pytest.mark.parametrize("command,doc", [
+    (["verify", "{path}"], []),
+    (["verify", "{path}"], {"kind": "tower_family_set", "families": [1]}),
+    (["classify", "--input", "{path}", "--weight", "0"], []),
+    (["classify", "--input", "{path}", "--weight", "0"],
+     {"n": 3, "q": 1, "components": []}),
+    (["expand", "--input", "{path}", "--floors", "2"], _ZERO_DEN_PAIR),
+    (["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", "1",
+      "--tau", "10", "--seed", "{path}"], []),
+], ids=["verify-list", "verify-bad-family", "classify-list",
+        "classify-list-components", "expand-zero-denominator", "iterate-list"])
+def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[a.format(path=path) for a in command])
+    assert code == 2
+    assert "internal error" not in err
+    assert out == ""
+
+
 def pair_file(tmp_path, ctx, parts, name="pair.json"):
     q = 1
     e = Form.zero(3, q)

@@ -8,8 +8,9 @@ from towercalc.ring import QQ, RadialRingElement, qq
 from towercalc.towers import (TowerContext, TowerFamily, TowerIndex, a_chain,
                               b_chain, build_tower_pair, exceptional_form,
                               homogeneity_degree, tower_coefficient,
-                              tower_coefficient_closed, verify_family,
-                              verify_low_floor_harmonicity)
+                              verify_family, verify_low_floor_harmonicity)
+
+from oracles import tower_coefficient_closed
 
 R = RadialRingElement
 
@@ -92,6 +93,35 @@ def test_tower_coefficient_recursion_step():
         cur = tower_coefficient(sign, q, sigma, k, n)
         denom = qq(2 * k) * (qq(2 * k) + sign * qq(2 * sigma + n))
         assert cur == prev / denom
+
+
+def test_tower_coefficient_scales_the_built_odd_floors():
+    # floor 2j+1 of the ladder from seed X (A) or Y (B) is
+    # c_0 * a_j/a_0 * r^(2j) * R_op(X)  resp.  c_0 * a_j/a_0 * r^(2j) * T_op(Y);
+    # the bootstrapped ladders of the ghost families enter after the seeded
+    # members of their floor and are not covered
+    checked = 0
+    for n, sigma_max in ((3, 2), (5, 1)):
+        for q in range(n):
+            for sign in (1, -1):
+                for sigma in range(sigma_max + 1):
+                    fam = build_tower_pair(n, q, sign, sigma, floors=5)
+                    g = homogeneity_degree(sign, 0, sigma, n)
+                    ladders = ((fam.r_floors, seed_basis(n, q, g), R_op, n + g - q),
+                               (fam.d_floors, seed_basis(n, q + 1, g), T_op, g + q + 1))
+                    for floors, seeds, op, base in ladders:
+                        if not seeds.dim:
+                            continue     # no seeded ladder (and base may be 0)
+                        a0 = tower_coefficient(sign, seeds.q, sigma, 0, n)
+                        for j in range(3):
+                            members = floors[2 * j + 1]
+                            assert len(members) >= seeds.dim
+                            c = tower_coefficient(sign, seeds.q, sigma, j, n) / (a0 * base)
+                            for f, x in zip(members, seeds.forms):
+                                assert f == op(x).mul_r_power(2 * j).scale(c), \
+                                    (n, q, sign, sigma, 2 * j + 1)
+                                checked += 1
+    assert checked == 1908
 
 
 def family_cases():
