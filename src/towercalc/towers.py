@@ -30,6 +30,8 @@ from .linalg import matrix_rank
 from .ring import QQ, qq, qq_str
 
 _Q1 = QQ(1)
+# the JSON spellings of a sign; any other value is malformed input
+_SIGNS = {1: 1, -1: -1, "+": 1, "-": -1, "+1": 1, "-1": -1}
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +63,8 @@ class TowerIndex:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TowerIndex":
-        sign = obj["sign"]
-        sign = {1: 1, -1: -1, "+": 1, "-": -1, "+1": 1, "-1": -1}[sign]
-        return cls(sign, int(obj["k"]), int(obj["sigma"]), int(obj["m"]))
+        return cls(_SIGNS[obj["sign"]], int(obj["k"]), int(obj["sigma"]),
+                   int(obj["m"]))
 
     def __str__(self):
         s = "+" if self.sign > 0 else "-"
@@ -109,84 +110,64 @@ def tower_coefficient(sign: int, q: int, sigma: int, k: int, n: int) -> QQ:
 # closed-form ladders
 # ---------------------------------------------------------------------------
 
-def a_chain(seed: Form, degree: int, floors: int) -> list:
-    """Ladder with div-free even floors seeded by a bi-closed form.
+def _ladder(seed: Form, degree: int, floors: int, base: int, up, down) -> list:
+    """Closed-form ladder F_0..F_floors from a bi-closed seed of rank p and
+    degree g.  With the scalars c_0 = 1/base and, for j >= 1,
 
-    F_0 = seed and for j >= 1
+        v_j = -c_{j-1} / (n + 2g + 2j)
+        u_j = (base + 2j) c_{j-1} / (2j (n + 2g + 2j))
+        c_j = c_{j-1} / (2j (n + 2g + 2j))
 
-        F_{2j-1} = c_{j-1} r^(2j-2) R_op(seed)
-        F_{2j}   = u_j r^(2j) seed + v_j r^(2j-2) R_op(T_op(seed))
+    the members are F_0 = seed and
 
-    chosen so that div F_{2j+1} = F_{2j}, rot F_{2j} = F_{2j-1},
-    rot F_odd = 0 and div F_even = 0.
+        F_{2j-1} = c_{j-1} r^(2j-2) up(seed)
+        F_{2j}   = u_j r^(2j) seed + v_j r^(2j-2) up(down(seed)).
+
+    The up(down(seed)) term drops out where down(seed) vanishes, i.e. at the
+    extreme rank (T_op at rank 0, R_op at rank n).
     """
     n, p, g = seed.n, seed.q, degree
-    if n + g - p == 0:
+    if base == 0:
         raise ConsistencyError(
-            f"ladder undefined: base denominator n+g-p = 0 at n={n} g={g} p={p}")
+            f"ladder undefined: base denominator 0 at n={n} g={g} p={p}")
     out = [seed]
     if floors == 0:
         return out
-    w1 = R_op(seed)
-    w2 = R_op(T_op(seed)) if p > 0 else None
-    c_prev = _Q1 / QQ(n + g - p)
-    out.append(w1.scale(c_prev))
+    odd = up(seed)
+    lowered = down(seed)
+    back = None if lowered.is_zero() else up(lowered)
+    c_prev = _Q1 / QQ(base)
+    out.append(odd.scale(c_prev))
     j = 1
     while len(out) <= floors:
         denom = QQ(n + 2 * g + 2 * j)
         if not denom:
             raise ConsistencyError(f"ladder denominator vanished at j={j}")
         v = -c_prev / denom
-        u = -QQ(n + g - p + 2 * j) * v / QQ(2 * j)
+        u = QQ(base + 2 * j) * c_prev / (QQ(2 * j) * denom)
         even = seed.mul_r_power(2 * j).scale(u)
-        if w2 is not None and not w2.is_zero():
-            even = even + w2.mul_r_power(2 * j - 2).scale(v)
+        if back is not None and not back.is_zero():
+            even = even + back.mul_r_power(2 * j - 2).scale(v)
         out.append(even)
         c_prev = c_prev / (QQ(2 * j) * denom)
         if len(out) <= floors:
-            out.append(w1.mul_r_power(2 * j).scale(c_prev))
+            out.append(odd.mul_r_power(2 * j).scale(c_prev))
         j += 1
     return out[:floors + 1]
+
+
+def a_chain(seed: Form, degree: int, floors: int) -> list:
+    """Ladder with div-free even floors: _ladder with base n+g-p, up = R_op,
+    down = T_op, so that div F_{2j+1} = F_{2j}, rot F_{2j} = F_{2j-1},
+    rot F_odd = 0 and div F_even = 0."""
+    return _ladder(seed, degree, floors, seed.n + degree - seed.q, R_op, T_op)
 
 
 def b_chain(seed: Form, degree: int, floors: int) -> list:
-    """Mirror ladder with rot-free even floors.
-
-    F_0 = seed and for j >= 1
-
-        F_{2j-1} = c_{j-1} r^(2j-2) T_op(seed)
-        F_{2j}   = u_j r^(2j) seed + v_j r^(2j-2) T_op(R_op(seed))
-
-    chosen so that rot F_{2j+1} = F_{2j}, div F_{2j} = F_{2j-1},
-    div F_odd = 0 and rot F_even = 0.
-    """
-    n, p, g = seed.n, seed.q, degree
-    if g + p == 0:
-        raise ConsistencyError(
-            f"ladder undefined: base denominator g+p = 0 at n={n} g={g} p={p}")
-    out = [seed]
-    if floors == 0:
-        return out
-    v1 = T_op(seed)
-    v2 = T_op(R_op(seed)) if p < n else None
-    c_prev = _Q1 / QQ(g + p)
-    out.append(v1.scale(c_prev))
-    j = 1
-    while len(out) <= floors:
-        denom = QQ(n + 2 * g + 2 * j)
-        if not denom:
-            raise ConsistencyError(f"ladder denominator vanished at j={j}")
-        v = -c_prev / denom
-        u = QQ(g + p + 2 * j) * c_prev / (QQ(2 * j) * denom)
-        even = seed.mul_r_power(2 * j).scale(u)
-        if v2 is not None and not v2.is_zero():
-            even = even + v2.mul_r_power(2 * j - 2).scale(v)
-        out.append(even)
-        c_prev = c_prev / (QQ(2 * j) * denom)
-        if len(out) <= floors:
-            out.append(v1.mul_r_power(2 * j).scale(c_prev))
-        j += 1
-    return out[:floors + 1]
+    """Mirror ladder with rot-free even floors: _ladder with base g+p,
+    up = T_op, down = R_op, so that rot F_{2j+1} = F_{2j},
+    div F_{2j} = F_{2j-1}, div F_odd = 0 and rot F_even = 0."""
+    return _ladder(seed, degree, floors, degree + seed.q, T_op, R_op)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +201,17 @@ class TowerFamily:
     def d_member(self, k: int, m: int):
         """Floor-k member m (1-based) of the D line, or None when the slot
         vanishes identically (extreme-rank floor 0)."""
-        if not 0 <= k <= self.floors:
-            raise IndexError(f"floor {k} outside 0..{self.floors}")
-        lst = self.d_floors[k]
-        if not 1 <= m <= max(len(lst), self.expected_d_count(k)):
-            raise IndexError(f"member {m} outside the floor-{k} multiplicity")
-        return lst[m - 1] if m <= len(lst) else None
+        return self._member(self.d_floors, self.expected_d_count, k, m)
 
     def r_member(self, k: int, m: int):
+        """Floor-k member m (1-based) of the R line; see d_member."""
+        return self._member(self.r_floors, self.expected_r_count, k, m)
+
+    def _member(self, line: list, expected_count, k: int, m: int):
         if not 0 <= k <= self.floors:
             raise IndexError(f"floor {k} outside 0..{self.floors}")
-        lst = self.r_floors[k]
-        if not 1 <= m <= max(len(lst), self.expected_r_count(k)):
+        lst = line[k]
+        if not 1 <= m <= max(len(lst), expected_count(k)):
             raise IndexError(f"member {m} outside the floor-{k} multiplicity")
         return lst[m - 1] if m <= len(lst) else None
 
@@ -255,12 +235,17 @@ class TowerFamily:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TowerFamily":
-        sign = 1 if obj["sign"] in ("+", 1, "+1") else -1
+        floors = int(obj["floors"])
+        d_floors = [[Form.from_obj(o) for o in fl] for fl in obj["d_floors"]]
+        r_floors = [[Form.from_obj(o) for o in fl] for fl in obj["r_floors"]]
+        if floors < 0 or not floors + 1 == len(d_floors) == len(r_floors):
+            raise ValueError(
+                f"floors is {floors} but d_floors/r_floors hold "
+                f"{len(d_floors)}/{len(r_floors)} floors")
         return cls(
-            n=int(obj["n"]), q=int(obj["q"]), sign=sign,
-            sigma=int(obj["sigma"]), floors=int(obj["floors"]),
-            d_floors=[[Form.from_obj(o) for o in fl] for fl in obj["d_floors"]],
-            r_floors=[[Form.from_obj(o) for o in fl] for fl in obj["r_floors"]],
+            n=int(obj["n"]), q=int(obj["q"]), sign=_SIGNS[obj["sign"]],
+            sigma=int(obj["sigma"]), floors=floors,
+            d_floors=d_floors, r_floors=r_floors,
             ghost_a=bool(obj.get("ghost_a")), ghost_b=bool(obj.get("ghost_b")),
         )
 
@@ -292,29 +277,21 @@ def build_tower_pair(n: int, q: int, sign: int, sigma: int,
     d_floors = [[] for _ in range(floors + 1)]
     r_floors = [[] for _ in range(floors + 1)]
 
-    for x in a_seeds.forms:
-        chain = a_chain(x, g0, floors)
-        for k, f in enumerate(chain):
-            (d_floors if k % 2 == 0 else r_floors)[k].append(f)
-    for y in b_seeds.forms:
-        chain = b_chain(y, g0, floors)
-        for k, f in enumerate(chain):
-            (r_floors if k % 2 == 0 else d_floors)[k].append(f)
-
-    if ghost_a and floors >= 1:
-        # rank-0 decaying seed vanishes; the ladder enters at floor 1 with the
-        # inverse-power radial form.
-        boot = seed_basis(n, 1, 1 - n).forms[0]
-        chain = b_chain(boot, 1 - n, floors - 1)
+    # (ladder, its first floor, line of its even members, line of its odd members)
+    ladders = [(a_chain(x, g0, floors), 0, d_floors, r_floors) for x in a_seeds.forms]
+    ladders += [(b_chain(y, g0, floors), 0, r_floors, d_floors) for y in b_seeds.forms]
+    if floors >= 1:
+        # the rank-0 (rank-n) decaying seed vanishes; its ladder enters at
+        # floor 1 with the inverse-power radial form (its Hodge star)
+        if ghost_a:
+            boot = seed_basis(n, 1, 1 - n).forms[0]
+            ladders.append((b_chain(boot, 1 - n, floors - 1), 1, r_floors, d_floors))
+        if ghost_b:
+            boot = seed_basis(n, n - 1, 1 - n).forms[0]
+            ladders.append((a_chain(boot, 1 - n, floors - 1), 1, d_floors, r_floors))
+    for chain, first, even, odd in ladders:
         for c, f in enumerate(chain):
-            k = c + 1
-            (r_floors if c % 2 == 0 else d_floors)[k].append(f)
-    if ghost_b and floors >= 1:
-        boot = seed_basis(n, n - 1, 1 - n).forms[0]
-        chain = a_chain(boot, 1 - n, floors - 1)
-        for c, f in enumerate(chain):
-            k = c + 1
-            (d_floors if c % 2 == 0 else r_floors)[k].append(f)
+            (even if c % 2 == 0 else odd)[first + c].append(f)
 
     return TowerFamily(n=n, q=q, sign=sign, sigma=sigma, floors=floors,
                        d_floors=d_floors, r_floors=r_floors,
@@ -335,126 +312,67 @@ def verify_family(fam: TowerFamily, rebuild: bool = True,
     independence=False skips the per-floor Gram rank check (quadratic in the
     member count; construction guarantees it, the flag exists for sweeps).
     """
-    checks = []
-
-    def add(name, passed, detail=""):
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
     n, q, K = fam.n, fam.q, fam.floors
+    names = ["seed-closedness", "div-free-d-line", "rot-free-r-line", "rot-ladder",
+             "div-ladder", "floor-homogeneity", "floor-multiplicity"]
+    if independence:
+        names.append("floor-independence")
+    bad = {name: [] for name in names}   # failure messages by check
 
-    # floor-0 closedness
-    ok, bad = True, []
-    for m, f in enumerate(fam.d_floors[0]):
-        if q < n and not f.rot().is_zero():
-            ok = False
-            bad.append(f"rot D_0 member {m + 1} nonzero")
-        if q > 0 and not f.div().is_zero():
-            ok = False
-            bad.append(f"div D_0 member {m + 1} nonzero")
-    for m, f in enumerate(fam.r_floors[0]):
-        if q + 1 < n and not f.rot().is_zero():
-            ok = False
-            bad.append(f"rot R_0 member {m + 1} nonzero")
-        if not f.div().is_zero():
-            ok = False
-            bad.append(f"div R_0 member {m + 1} nonzero")
-    add("seed-closedness", ok, "; ".join(bad))
-
-    # line constraints on every floor
-    ok, bad = True, []
-    for k in range(K + 1):
-        for m, f in enumerate(fam.d_floors[k]):
-            if q > 0 and not f.div().is_zero():
-                ok = False
-                bad.append(f"div D_{k} member {m + 1} nonzero")
-    add("div-free-d-line", ok, "; ".join(bad))
-
-    ok, bad = True, []
-    for k in range(K + 1):
-        for m, f in enumerate(fam.r_floors[k]):
-            if q + 1 < n and not f.rot().is_zero():
-                ok = False
-                bad.append(f"rot R_{k} member {m + 1} nonzero")
-    add("rot-free-r-line", ok, "; ".join(bad))
-
-    # ladder relations
-    ok, bad = True, []
-    for k in range(1, K + 1):
-        for m, f in enumerate(fam.d_floors[k]):
-            partner = fam.r_floors[k - 1][m] if m < len(fam.r_floors[k - 1]) else None
-            if partner is None:
-                if not f.rot().is_zero():
-                    ok = False
-                    bad.append(f"rot D_{k} member {m + 1} nonzero with no partner")
-            elif f.rot() != partner:
-                ok = False
-                bad.append(f"rot D_{k} member {m + 1} != R_{k - 1}")
-    add("rot-ladder", ok, "; ".join(bad))
-
-    ok, bad = True, []
-    for k in range(1, K + 1):
-        for m, f in enumerate(fam.r_floors[k]):
-            partner = fam.d_floors[k - 1][m] if m < len(fam.d_floors[k - 1]) else None
-            if partner is None:
-                # bootstrapped ladders: div R_k vanishes where D_{k-1} is absent
-                if not f.div().is_zero():
-                    ok = False
-                    bad.append(f"div R_{k} member {m + 1} nonzero with no partner")
-            elif f.div() != partner:
-                ok = False
-                bad.append(f"div R_{k} member {m + 1} != D_{k - 1}")
-    add("div-ladder", ok, "; ".join(bad))
-
-    # homogeneity degrees
-    ok, bad = True, []
+    # per line: its floors, the partner line, the operator that vanishes on the
+    # whole line (if it is checked there) and its check, the ladder operator
+    # (if floor 0 must be closed under it) and its check, the floor-0 ghost slot
+    lines = (("D", fam.d_floors, fam.expected_d_count, "R", fam.r_floors,
+              "div", q > 0, "div-free-d-line", "rot", q < n, "rot-ladder", fam.ghost_a),
+             ("R", fam.r_floors, fam.expected_r_count, "D", fam.d_floors,
+              "rot", q + 1 < n, "rot-free-r-line", "div", True, "div-ladder", fam.ghost_b))
     for k in range(K + 1):
         want = fam.degree_of_floor(k)
-        for line, floors_ in (("D", fam.d_floors), ("R", fam.r_floors)):
-            for m, f in enumerate(floors_[k]):
+        for (line, own, expected_count, other, partners, free_op, free_on, free_check,
+             step_op, seed_step, step_check, ghost) in lines:
+            members = own[k]
+            for m, f in enumerate(members, 1):
+                image = {free_op: getattr(f, free_op)() if free_on else None,
+                         step_op: getattr(f, step_op)() if k or seed_step else None}
+                if k == 0:
+                    for op in ("rot", "div"):
+                        if image[op] is not None and not image[op].is_zero():
+                            bad["seed-closedness"].append(f"{op} {line}_0 member {m} nonzero")
+                if free_on and not image[free_op].is_zero():
+                    bad[free_check].append(f"{free_op} {line}_{k} member {m} nonzero")
+                if k:
+                    below = partners[k - 1]
+                    if m > len(below):
+                        # bootstrapped ladders: the image vanishes where the
+                        # partner slot is absent
+                        if not image[step_op].is_zero():
+                            bad[step_check].append(
+                                f"{step_op} {line}_{k} member {m} nonzero with no partner")
+                    elif image[step_op] != below[m - 1]:
+                        bad[step_check].append(
+                            f"{step_op} {line}_{k} member {m} != {other}_{k - 1}")
                 if f.is_zero() or f.homogeneous_degree() != want:
-                    ok = False
-                    bad.append(f"{line}_{k} member {m + 1} degree "
-                               f"{f.homogeneous_degree()} != {want}")
-    add("floor-homogeneity", ok, "; ".join(bad))
+                    bad["floor-homogeneity"].append(
+                        f"{line}_{k} member {m} degree {f.homogeneous_degree()} != {want}")
+            want_count = 0 if ghost and k == 0 else expected_count(k)
+            if len(members) != want_count:
+                bad["floor-multiplicity"].append(
+                    f"{line}_{k}: {len(members)} members, expected {want_count}")
+            # per-floor linear independence (sphere Gram rank)
+            if independence and len(members) > 1:
+                gram = [[sphere_inner_product(a, b) for b in members] for a in members]
+                if matrix_rank(gram) != len(members):
+                    bad["floor-independence"].append(f"{line}_{k} members dependent")
+            elif independence and len(members) == 1 and members[0].is_zero():
+                bad["floor-independence"].append(f"{line}_{k} zero member stored")
 
-    # member counts against seed multiplicities
-    ok, bad = True, []
-    for k in range(K + 1):
-        want_d = fam.expected_d_count(k)
-        want_r = fam.expected_r_count(k)
-        if fam.ghost_a and k == 0:
-            want_d = 0
-        if fam.ghost_b and k == 0:
-            want_r = 0
-        if len(fam.d_floors[k]) != want_d:
-            ok = False
-            bad.append(f"D_{k}: {len(fam.d_floors[k])} members, expected {want_d}")
-        if len(fam.r_floors[k]) != want_r:
-            ok = False
-            bad.append(f"R_{k}: {len(fam.r_floors[k])} members, expected {want_r}")
-    add("floor-multiplicity", ok, "; ".join(bad))
-
-    # per-floor linear independence (sphere Gram rank)
-    if independence:
-        ok, bad = True, []
-        for k in range(K + 1):
-            for line, floors_ in (("D", fam.d_floors), ("R", fam.r_floors)):
-                lst = floors_[k]
-                if len(lst) > 1:
-                    g = [[sphere_inner_product(a, b) for b in lst] for a in lst]
-                    if matrix_rank(g) != len(lst):
-                        ok = False
-                        bad.append(f"{line}_{k} members dependent")
-                elif len(lst) == 1 and lst[0].is_zero():
-                    ok = False
-                    bad.append(f"{line}_{k} zero member stored")
-        add("floor-independence", ok, "; ".join(bad))
-
+    checks = [{"name": name, "passed": not msgs, "detail": "; ".join(msgs)}
+              for name, msgs in bad.items()]
     if rebuild:
         fresh = build_tower_pair(n, q, fam.sign, fam.sigma, K)
         same = (fresh.d_floors == fam.d_floors and fresh.r_floors == fam.r_floors)
-        add("canonical-rebuild", same,
-            "" if same else "stored floors differ from the canonical reconstruction")
+        checks.append({"name": "canonical-rebuild", "passed": same, "detail":
+                       "" if same else "stored floors differ from the canonical reconstruction"})
 
     return {"passed": all(c["passed"] for c in checks), "checks": checks,
             "n": n, "q": q, "sign": fam.sign, "sigma": fam.sigma, "floors": K}
@@ -586,8 +504,7 @@ def exceptional_form(kind: str, n: int, q: int, K: int,
             return True
         return s < bound if kind.endswith("hat") else s >= bound
 
-    zero = ExceptionalFormDescriptor(kind, n, q, K,
-                                     s=None if s is None else s)
+    zero = ExceptionalFormDescriptor(kind, n, q, K, s=s)
     if kind.startswith("D"):
         if q == 0 and K % 2 == 0 and window(half - K):
             return ExceptionalFormDescriptor(kind, n, q, K, s, False, 0, "D", K)

@@ -9,7 +9,7 @@ from towercalc.expansion import MaxwellPair
 from towercalc.forms import Form
 from towercalc.indices import enumerate_excluded
 from towercalc.ring import qq
-from towercalc.towers import TowerContext, TowerIndex
+from towercalc.towers import TowerContext, TowerIndex, build_tower_pair
 
 
 def run(capsys, *argv):
@@ -109,6 +109,12 @@ _ZERO_DEN_PAIR = {
         {"alpha": [0, 0, 0], "coef": "1/0"}]}]}},
     "h": {"n": 3, "q": 2, "components": {}}}
 
+# a family stored with floors 0..2, and copies whose header disagrees with it
+_FAMILY = build_tower_pair(3, 1, 1, 0, floors=2)
+_FAMILY_DOC = _FAMILY.to_obj()
+_FLOOR_2_TAMPERED = dict(_FAMILY_DOC, floors=1, d_floors=_FAMILY_DOC["d_floors"][:2] + [
+    [_FAMILY.d_floors[2][0].scale(qq(3)).to_obj()] + _FAMILY_DOC["d_floors"][2][1:]])
+
 
 @pytest.mark.parametrize("command,doc", [
     (["verify", "{path}"], []),
@@ -119,8 +125,13 @@ _ZERO_DEN_PAIR = {
     (["expand", "--input", "{path}", "--floors", "2"], _ZERO_DEN_PAIR),
     (["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", "1",
       "--tau", "10", "--seed", "{path}"], []),
+    (["verify", "{path}"], dict(_FAMILY_DOC, floors=4)),
+    (["verify", "--no-rebuild", "{path}"], _FLOOR_2_TAMPERED),
+    (["verify", "{path}"], dict(_FAMILY_DOC, sign="x")),
 ], ids=["verify-list", "verify-bad-family", "classify-list",
-        "classify-list-components", "expand-zero-denominator", "iterate-list"])
+        "classify-list-components", "expand-zero-denominator", "iterate-list",
+        "verify-floors-beyond-stored", "verify-floors-short-of-stored",
+        "verify-unknown-sign"])
 def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -208,14 +208,74 @@ def test_verify_detects_tampering():
     assert failed & {"rot-ladder", "div-ladder"}
 
 
-def test_exceptional_table_consistency():
+def test_failing_report_text():
+    # full reports on three tampered copies of one family, pinned verbatim
+    def report(tamper):
+        fam = build_tower_pair(3, 1, 1, 0, floors=3)
+        tamper(fam)
+        return [(c["name"], c["passed"], c["detail"]) for c in verify_family(fam)["checks"]]
+
+    def scale(fam):
+        fam.d_floors[1][0] = fam.d_floors[1][0].scale(QQ(3, 2))
+
+    def delete(fam):
+        del fam.r_floors[2][1]
+
+    def r_shift(fam):
+        fam.d_floors[0][1] = fam.d_floors[0][1].mul_r_power(2)
+
+    rebuilt = ("canonical-rebuild", False,
+               "stored floors differ from the canonical reconstruction")
+    assert report(scale) == [
+        ("seed-closedness", True, ""),
+        ("div-free-d-line", True, ""),
+        ("rot-free-r-line", True, ""),
+        ("rot-ladder", False, "rot D_1 member 1 != R_0"),
+        ("div-ladder", False, "div R_2 member 1 != D_1"),
+        ("floor-homogeneity", True, ""),
+        ("floor-multiplicity", True, ""),
+        ("floor-independence", True, ""),
+        rebuilt]
+    assert report(delete) == [
+        ("seed-closedness", True, ""),
+        ("div-free-d-line", True, ""),
+        ("rot-free-r-line", True, ""),
+        ("rot-ladder", False,
+         "rot D_3 member 2 != R_2; rot D_3 member 3 nonzero with no partner"),
+        ("div-ladder", False, "div R_2 member 2 != D_1"),
+        ("floor-homogeneity", True, ""),
+        ("floor-multiplicity", False, "R_2: 2 members, expected 3"),
+        ("floor-independence", True, ""),
+        rebuilt]
+    assert report(r_shift) == [
+        ("seed-closedness", False,
+         "rot D_0 member 2 nonzero; div D_0 member 2 nonzero"),
+        ("div-free-d-line", False, "div D_0 member 2 nonzero"),
+        ("rot-free-r-line", True, ""),
+        ("rot-ladder", True, ""),
+        ("div-ladder", False, "div R_1 member 2 != D_0"),
+        ("floor-homogeneity", False, "D_0 member 2 degree 2 != 0"),
+        ("floor-multiplicity", True, ""),
+        ("floor-independence", True, ""),
+        rebuilt]
+
+
+def test_exceptional_table_consistency(ctx3):
     n = 3
-    # the height-1 slots coincide with the general table evaluated at K=1
-    for kind, q in [("D_hat", 0), ("D_hat", 1), ("R_hat", n), ("R_hat", n - 1),
-                    ("D_check", 1), ("R_check", n - 1)]:
-        one = exceptional_form(kind, n, q, 1)
-        general = exceptional_form(kind, n, q, 1)
-        assert one.to_obj() == general.to_obj()
+    # the height-1 slots: (is_zero, family_q, line, floor) for each kind and rank
+    for kind, q, want in [("D_hat", 0, (True, -1, "", -1)),
+                          ("D_hat", 1, (False, 0, "R", 1)),
+                          ("R_hat", n, (True, -1, "", -1)),
+                          ("R_hat", n - 1, (False, n - 1, "D", 1)),
+                          ("D_check", 1, (False, 0, "R", 1)),
+                          ("R_check", n - 1, (False, n - 1, "D", 1))]:
+        desc = exceptional_form(kind, n, q, 1)
+        assert (desc.is_zero, desc.family_q, desc.line, desc.floor) == want, (kind, q)
+        if not desc.is_zero:
+            fam = ctx3.family(desc.family_q, -1, 0, desc.floor)
+            members = (fam.d_floors if desc.line == "D" else fam.r_floors)[desc.floor]
+            form = desc.resolve(ctx3)
+            assert members == [form] and form.q == q, (kind, q)
 
 
 def test_exceptional_window_gates_on_weight():
