@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from towercalc.expansion import expand
-from towercalc.forms import Form
 from towercalc.ring import qq
 from towercalc.static_op import TowerProfile, apply_L_profile, solve_whole_space
 from towercalc.towers import TowerContext, TowerIndex
@@ -35,12 +34,8 @@ def main() -> int:
     g = {TowerIndex(-1, 0, 1, 1): qq("-1/2")}
     profile = TowerProfile(n, q, qq(args.weight), f, g)
 
-    f_form = Form.zero(n, q)
-    for idx, c in f.items():
-        f_form = f_form + ctx.d_form(q, idx).scale(c)
-    g_form = Form.zero(n, q + 1)
-    for idx, c in g.items():
-        g_form = g_form + ctx.r_form(q + 1, idx).scale(c)
+    f_form = ctx.combine(q, "D", f)
+    g_form = ctx.combine(q + 1, "R", g)
 
     print(f"seed data: {len(f)} D coefficient(s), {len(g)} R coefficient(s), "
           f"weight s={args.weight}")

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import HypothesisError, require_odd_dimension
 from .expansion import (MaxwellPair, expand, lemma34_classify,
@@ -33,28 +32,31 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated common settings for one invocation."""
-
-    n: int = 3
-    out: str | None = None
-    verbose: bool = False
-
-    def __post_init__(self):
-        require_odd_dimension(self.n)
+def _odd_dimension(text: str) -> int:
+    """argparse type of every --n: an odd dimension n >= 3."""
+    try:
+        require_odd_dimension(int(text))
+    except ValueError as ex:
+        raise argparse.ArgumentTypeError(str(ex))
+    return int(text)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(out: str | None, text: str) -> None:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, obj) -> None:
-    _emit(cfg, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _emit_json(out: str | None, obj) -> None:
+    _emit(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_csv(out: str | None, rows) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _emit(out, buf.getvalue())
 
 
 def _note(msg: str) -> None:
@@ -99,18 +101,17 @@ def _parse_sign(word: str):
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     sigmas = [args.sigma] if args.sigma is not None else list(range(args.sigma_max + 1))
     families = []
     for sign in _parse_sign(args.sign):
         for sigma in sigmas:
-            fam = build_tower_pair(cfg.n, args.q, sign, sigma, args.floors)
+            fam = build_tower_pair(args.n, args.q, sign, sigma, args.floors)
             families.append(fam.to_obj())
-            if cfg.verbose:
+            if args.verbose:
                 _note(f"built family q={args.q} sign={'+' if sign > 0 else '-'} "
                       f"sigma={sigma} floors={args.floors}")
-    _emit_json(cfg, {"schema": "towercalc/1", "kind": "tower_family_set",
-                     "n": cfg.n, "families": families})
+    _emit_json(args.out, {"schema": "towercalc/1", "kind": "tower_family_set",
+                          "n": args.n, "families": families})
     return EXIT_OK
 
 
@@ -143,9 +144,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    cfg = RunConfig(n=3, out=args.out, verbose=args.verbose)
+    if args.floors < 1:
+        raise UsageError(f"--floors must be >= 1, not {args.floors}")
     pair = _decode(args.input, MaxwellPair.from_obj)
-    cfg.n = pair.n
     ctx = TowerContext(pair.n)
     try:
         result = expand(pair, args.floors, ctx)
@@ -155,12 +156,9 @@ def cmd_expand(args) -> int:
     obj = result.to_obj()
     if args.weight is not None:
         verdict = membership_filter(result, qq_str_to_q(args.weight))
-        obj["membership"] = {
-            "weight": verdict["weight"], "passed": verdict["passed"],
-            "e_offending": [i.to_obj() for i in verdict["e_offending"]],
-            "h_offending": [i.to_obj() for i in verdict["h_offending"]],
-            "e_hat_admissible": verdict["e_hat_admissible"],
-            "h_hat_admissible": verdict["h_hat_admissible"]}
+        obj["membership"] = dict(
+            verdict, e_offending=[i.to_obj() for i in verdict["e_offending"]],
+            h_offending=[i.to_obj() for i in verdict["h_offending"]])
         _note(f"membership at s={verdict['weight']}: "
               f"{'PASS' if verdict['passed'] else 'FAIL'}")
         for side, offs in (("E", verdict["e_offending"]),
@@ -168,65 +166,49 @@ def cmd_expand(args) -> int:
             for idx in offs:
                 _note(f"  offending {side} index {idx} "
                       f"(degree {idx.degree(pair.n)})")
-    _emit_json(cfg, obj)
+    _emit_json(args.out, obj)
     return EXIT_OK if result.exact else EXIT_CHECK_FAILED
 
 
 def cmd_classify(args) -> int:
-    cfg = RunConfig(n=3, out=args.out, verbose=args.verbose)
     form = _decode(args.input, Form.from_obj)
-    cfg.n = form.n
     ctx = TowerContext(form.n)
-    rep = lemma34_classify(form, qq_str_to_q(args.weight), ctx)
-    _emit_json(cfg, {
-        "schema": "towercalc/1", "kind": "classification",
-        "n": form.n, "q": form.q, "weight": qq_str(qq_str_to_q(args.weight)),
-        "class": rep["class"], "rot_integrable": rep["rot_integrable"],
-        "div_integrable": rep["div_integrable"], "line": rep["line"],
-        "indices": [i.to_obj() for i in rep["indices"]],
-        "exceptional": None if rep["exceptional"] is None
-                       else rep["exceptional"].to_obj()})
+    s = qq_str_to_q(args.weight)
+    rep = lemma34_classify(form, s, ctx)
+    _emit_json(args.out, dict(
+        rep, schema="towercalc/1", kind="classification", n=form.n, q=form.q,
+        weight=qq_str(s), indices=[i.to_obj() for i in rep["indices"]],
+        exceptional=None if rep["exceptional"] is None else rep["exceptional"].to_obj()))
     return EXIT_OK
 
 
 def cmd_indices(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     s = qq_str_to_q(args.weight)
-    if is_exceptional_weight(s, cfg.n):
+    if is_exceptional_weight(s, args.n):
         _note(f"warning: weight {qq_str(s)} is exceptional; "
               "theorems inapplicable at this weight")
-    idxs = enumerate_excluded(cfg.n, args.q, args.line, args.max_floor, s,
+    idxs = enumerate_excluded(args.n, args.q, args.line, args.max_floor, s,
                               negative_only=not args.both_signs,
                               sigma_max=args.sigma_max)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sign", "k", "sigma", "m", "degree"])
-    for i in idxs:
-        writer.writerow(["+" if i.sign > 0 else "-", i.k, i.sigma, i.m,
-                         qq_str(qq(i.degree(cfg.n)))])
-    _emit(cfg, buf.getvalue())
+    _emit_csv(args.out, [["sign", "k", "sigma", "m", "degree"]] + [
+        ["+" if i.sign > 0 else "-", i.k, i.sigma, i.m, qq_str(qq(i.degree(args.n)))]
+        for i in idxs])
     return EXIT_OK
 
 
 def cmd_weights(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["weight"])
-    for w in exceptional_weights(cfg.n, args.list):
-        writer.writerow([qq_str(w)])
-    _emit(cfg, buf.getvalue())
+    _emit_csv(args.out, [["weight"]] + [[qq_str(w)] for w in
+                                        exceptional_weights(args.n, args.list)])
     return EXIT_OK
 
 
 def cmd_iterate(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
     s = qq_str_to_q(args.weight)
     tau = None if args.tau is None else qq_str_to_q(args.tau)
     f_coeffs, g_coeffs = (_decode(args.seed, _profile_seed_from_obj)
                           if args.seed else ({}, {}))
     try:
-        profile = TowerProfile(n=cfg.n, q=args.q, s=s,
+        profile = TowerProfile(n=args.n, q=args.q, s=s,
                                f_coeffs=f_coeffs, g_coeffs=g_coeffs)
         chain = [profile]
         for _ in range(args.power):
@@ -234,11 +216,11 @@ def cmd_iterate(args) -> int:
         _, desc = apply_L_power(profile, args.power, tau)
     except (HypothesisError, ValueError) as ex:
         raise UsageError(f"inadmissible iteration input: {ex}")
-    _emit_json(cfg, {"schema": "towercalc/1", "kind": "iteration",
-                     "power": args.power,
-                     "tau": None if tau is None else qq_str(tau),
-                     "profiles": [p.to_obj() for p in chain],
-                     "range": desc.to_obj()})
+    _emit_json(args.out, {"schema": "towercalc/1", "kind": "iteration",
+                          "power": args.power,
+                          "tau": None if tau is None else qq_str(tau),
+                          "profiles": [p.to_obj() for p in chain],
+                          "range": desc.to_obj()})
     return EXIT_OK
 
 
@@ -250,13 +232,9 @@ def _profile_seed_from_obj(obj) -> tuple:
 
 
 def cmd_dims(args) -> int:
-    cfg = RunConfig(n=args.n, out=args.out, verbose=args.verbose)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q\\sigma"] + list(range(args.sigma_max + 1)))
-    for q in range(cfg.n + 1):
-        writer.writerow([q] + [mu(cfg.n, q, sg) for sg in range(args.sigma_max + 1)])
-    _emit(cfg, buf.getvalue())
+    sigmas = range(args.sigma_max + 1)
+    _emit_csv(args.out, [["q\\sigma"] + list(sigmas)] + [
+        [q] + [mu(args.n, q, sg) for sg in sigmas] for q in range(args.n + 1)])
     return EXIT_OK
 
 
@@ -282,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("build", help="build tower families and emit them as JSON")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_odd_dimension, required=True)
     p.add_argument("--q", type=int, required=True, help="family rank (D-line rank)")
     p.add_argument("--sign", default="both", help="plus, minus or both")
     p.add_argument("--sigma", type=int, default=None, help="single seed order")
@@ -320,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("indices", help="excluded-index table as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_odd_dimension, required=True)
     p.add_argument("--q", type=int, required=True, help="form rank")
     p.add_argument("--line", default="D", choices=["D", "R"])
     p.add_argument("--max-floor", type=int, required=True)
@@ -332,14 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("weights", help="list exceptional weights")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_odd_dimension, required=True)
     p.add_argument("--list", type=int, default=5, help="entries per branch")
     common(p)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("iterate",
                        help="iterate the solution-operator profile bookkeeping")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_odd_dimension, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--weight", required=True, help="starting weight s")
     p.add_argument("--power", type=int, required=True)
@@ -350,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("dims", help="seed-space dimension table as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_odd_dimension, required=True)
     p.add_argument("--sigma-max", type=int, default=3)
     common(p)
     p.set_defaults(func=cmd_dims)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 from .errors import ConsistencyError
 from .forms import Form, sphere_inner_product
-from .indices import in_weighted_l2, multiplicity, enumerate_excluded
+from .indices import enumerate_excluded, in_weighted_l2, shift_index
 from .linalg import matrix_rank, solve_posdef
 from .ring import QQ, qq, qq_str
 from .towers import (ExceptionalFormDescriptor, TowerContext, TowerIndex,
-                     exceptional_form)
+                     exceptional_form, multiplicity)
 
 _Q0 = QQ(0)
 
@@ -95,7 +95,7 @@ def tower_candidates(ctx: TowerContext, rank: int, line: str, degree: int,
             count = multiplicity(n, rank, line, sigma, k)
             for m in range(1, count + 1):
                 idx = TowerIndex(sign, k, sigma, m)
-                f = ctx.d_form(rank, idx) if line == "D" else ctx.r_form(rank, idx)
+                f = ctx.member(rank, line, idx)
                 if f is not None and not f.is_zero():
                     out.append((idx, f))
     return out
@@ -173,17 +173,14 @@ class ExpansionResult:
 
     def reconstruct(self, ctx: TowerContext) -> MaxwellPair:
         """Rebuild the tower part (coefficients + exceptional slots)."""
-        e = Form.zero(self.n, self.q)
-        for idx, c in sorted(self.e_side.coeffs.items()):
-            e = e + ctx.d_form(self.q, idx).scale(c)
-        if self.e_side.hat_coeff:
-            e = e + self.e_side.hat_descriptor.resolve(ctx).scale(self.e_side.hat_coeff)
-        h = Form.zero(self.n, self.q + 1)
-        for idx, c in sorted(self.h_side.coeffs.items()):
-            h = h + ctx.r_form(self.q + 1, idx).scale(c)
-        if self.h_side.hat_coeff:
-            h = h + self.h_side.hat_descriptor.resolve(ctx).scale(self.h_side.hat_coeff)
-        return MaxwellPair(e, h)
+        forms = []
+        for rank, line, side in ((self.q, "D", self.e_side),
+                                 (self.q + 1, "R", self.h_side)):
+            form = ctx.combine(rank, line, side.coeffs)
+            if side.hat_coeff:
+                form = form + side.hat_descriptor.resolve(ctx).scale(side.hat_coeff)
+            forms.append(form)
+        return MaxwellPair(*forms)
 
     def to_obj(self) -> dict:
         def side_obj(side):
@@ -233,16 +230,16 @@ def expansion_commutes_with_maxwell(pair: MaxwellPair, k: int,
     if res_img is not None:
         # E' = div H: D-line coefficients of E' at I = H coefficients at 1I
         for idx, c in res_img.e_side.coeffs.items():
-            up = TowerIndex(idx.sign, idx.k + 1, idx.sigma, idx.m)
+            up, _ = shift_index(idx, 1)
             if res.h_side.coeffs.get(up, _Q0) != c:
                 failures.append(f"E' coeff {idx} != H coeff {up}")
         for idx, c in res.h_side.coeffs.items():
             if idx.k >= 1:
-                down = TowerIndex(idx.sign, idx.k - 1, idx.sigma, idx.m)
+                down, _ = shift_index(idx, -1)
                 if res_img.e_side.coeffs.get(down, _Q0) != c:
                     failures.append(f"H coeff {idx} not propagated to E' {down}")
         for idx, c in res_img.h_side.coeffs.items():
-            up = TowerIndex(idx.sign, idx.k + 1, idx.sigma, idx.m)
+            up, _ = shift_index(idx, 1)
             if res.e_side.coeffs.get(up, _Q0) != c:
                 failures.append(f"H' coeff {idx} != E coeff {up}")
     return {"passed": not failures, "failures": failures}
@@ -291,6 +288,13 @@ def _integrable_at(form: Form, s, n: int) -> bool:
     return all(qq(d) < bound for d in form.coefficient_degrees())
 
 
+# (class, line, floors of the excluded indices, exceptional kind, its height),
+# tried in order: the first row whose integrability test holds classifies
+_LEMMA34_ROWS = (("both", "D", 0, "D_check", 1),
+                 ("div_only", "D", 1, "D_check", 2),
+                 ("rot_only", "R", 1, "R_check", 2))
+
+
 def lemma34_classify(e: Form, s, ctx: TowerContext) -> dict:
     """Classify a harmonic remainder by which of its two derivatives is
     integrable one weight up, and name the finite data that spans it.
@@ -302,23 +306,12 @@ def lemma34_classify(e: Form, s, ctx: TowerContext) -> dict:
     n = ctx.n
     s = qq(s)
     q = e.q
-    rot_ok = e.q == n or _integrable_at(e.rot(), s + 1, n)
-    div_ok = e.q == 0 or _integrable_at(e.div(), s + 1, n)
-    if div_ok and rot_ok:
-        return {"class": "both", "rot_integrable": True, "div_integrable": True,
-                "line": "D",
-                "indices": enumerate_excluded(n, q, "D", 0, s),
-                "exceptional": exceptional_form("D_check", n, q, 1, s=s)}
-    if div_ok:
-        return {"class": "div_only", "rot_integrable": False,
-                "div_integrable": True, "line": "D",
-                "indices": enumerate_excluded(n, q, "D", 1, s),
-                "exceptional": exceptional_form("D_check", n, q, 2, s=s)}
-    if rot_ok:
-        return {"class": "rot_only", "rot_integrable": True,
-                "div_integrable": False, "line": "R",
-                "indices": enumerate_excluded(n, q, "R", 1, s),
-                "exceptional": exceptional_form("R_check", n, q, 2, s=s)}
-    return {"class": "unclassified", "rot_integrable": False,
-            "div_integrable": False, "line": "", "indices": [],
-            "exceptional": None}
+    rot_ok = q == n or _integrable_at(e.rot(), s + 1, n)
+    div_ok = q == 0 or _integrable_at(e.div(), s + 1, n)
+    row = next((r for r, holds in zip(_LEMMA34_ROWS, (div_ok and rot_ok, div_ok, rot_ok))
+                if holds), None)
+    name, line, floors, kind, height = row or ("unclassified", "", 0, None, 0)
+    return {"class": name, "rot_integrable": rot_ok, "div_integrable": div_ok,
+            "line": line,
+            "indices": enumerate_excluded(n, q, line, floors, s) if row else [],
+            "exceptional": exceptional_form(kind, n, q, height, s=s) if row else None}

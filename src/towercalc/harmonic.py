@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -137,6 +138,20 @@ def _disk_cache_path(n: int, q: int, degree: int):
     return os.path.join(root, f"seeds_n{n}_q{q}_h{degree}.json")
 
 
+def _load_cached(path: str, key: tuple):
+    """The seed space stored at path, or None when the file does not parse
+    or does not hold the (n, q, degree) space of its key."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        space = SeedSpace.from_obj(obj)
+        ok = obj["kind"] == "seed_space" and (space.n, space.q, space.degree) == key \
+            and all((f.n, f.q, f.homogeneous_degree()) == key for f in space.forms)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        return None
+    return space if ok else None
+
+
 def clear_cache() -> None:
     with _CACHE_LOCK:
         _CACHE.clear()
@@ -204,11 +219,13 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
             return _CACHE[key]
     path = _disk_cache_path(n, q, degree)
     if path and os.path.exists(path):
-        with open(path) as fh:
-            space = SeedSpace.from_obj(json.load(fh))
-        with _CACHE_LOCK:
-            _CACHE[key] = space
-        return space
+        space = _load_cached(path, key)
+        if space is not None:
+            with _CACHE_LOCK:
+                _CACHE[key] = space
+            return space
+        print(f"note: seed cache entry {path} is unreadable or not the "
+              f"n={n} q={q} degree={degree} space; recomputing it", file=sys.stderr)
 
     if degree >= 0:
         forms = _solve_polynomial(n, q, degree)

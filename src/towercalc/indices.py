@@ -15,36 +15,15 @@ Weights are exact rationals throughout (pass ints, 'p/q' strings, or QQ).
 
 from __future__ import annotations
 
-from .errors import HypothesisError, InvalidRankError, require_odd_dimension
-from .harmonic import mu
+from .errors import HypothesisError, require_odd_dimension
 from .ring import QQ, qq, qq_str
-from .towers import TowerIndex
+from .towers import TowerIndex, multiplicity
 
 
 def in_weighted_l2(index: TowerIndex, s, n: int) -> bool:
     """True iff the member's homogeneity class lies in the weight-s space."""
     require_odd_dimension(n)
     return qq(index.degree(n)) < -qq(s) - QQ(n, 2)
-
-
-def multiplicity(n: int, rank: int, line: str, sigma: int, k: int) -> int:
-    """Member count of floor k at the given rank on the D or R line.
-
-    D line: floors alternate between the rank-q and rank-(q+1) seed counts;
-    R line mirrors one rank up.  This is the bookkeeping count; the one
-    identically vanishing slot (decaying extreme-rank floor 0) still counts 1
-    here and resolves to an absent form.
-    """
-    require_odd_dimension(n)
-    if line == "D":
-        if not 0 <= rank <= n - 1:
-            raise InvalidRankError(f"D-line rank {rank} outside 0..{n - 1}")
-        return mu(n, rank if k % 2 == 0 else rank + 1, sigma)
-    if line == "R":
-        if not 1 <= rank <= n:
-            raise InvalidRankError(f"R-line rank {rank} outside 1..{n}")
-        return mu(n, rank if k % 2 == 0 else rank - 1, sigma)
-    raise ValueError(f"line must be 'D' or 'R', got {line!r}")
 
 
 def enumerate_excluded(n: int, rank: int, line: str, k_max: int, s,

@@ -173,6 +173,11 @@ class TowerProfile:
                 "f_coeffs": cmap(self.f_coeffs), "g_coeffs": cmap(self.g_coeffs)}
 
 
+def _shifted(coeffs: dict) -> dict:
+    """The floor shift k -> k+1 of every index of a coefficient map."""
+    return {shift_index(idx, 1)[0]: c for idx, c in coeffs.items()}
+
+
 def apply_L_profile(profile: TowerProfile, tau=None,
                     validate: bool = True) -> TowerProfile:
     """One application of the solution operator, on the bookkeeping level.
@@ -187,19 +192,14 @@ def apply_L_profile(profile: TowerProfile, tau=None,
                            max_degree=profile.max_degree())
     new_s = s - 1
     step = profile.step + 1
-    new_f = {}
-    for j_idx, c in profile.g_coeffs.items():
-        shifted, _ = shift_index(j_idx, 1)
-        new_f[shifted] = c
-    for idx in enumerate_excluded(n, q, "D", 0, new_s):
-        new_f[idx] = LinExpr.symbol(f"Et{step}({idx.sigma},{idx.m})")
-    new_g = {}
-    for i_idx, c in profile.f_coeffs.items():
-        shifted, _ = shift_index(i_idx, 1)
-        new_g[shifted] = c
-    for idx in enumerate_excluded(n, q + 1, "R", 0, new_s):
-        new_g[idx] = LinExpr.symbol(f"Ht{step}({idx.sigma},{idx.m})")
-    return TowerProfile(n=n, q=q, s=new_s, f_coeffs=new_f, g_coeffs=new_g,
+    new = []
+    for rank, line, fresh, source in ((q, "D", "Et", profile.g_coeffs),
+                                      (q + 1, "R", "Ht", profile.f_coeffs)):
+        coeffs = _shifted(source)
+        for idx in enumerate_excluded(n, rank, line, 0, new_s):
+            coeffs[idx] = LinExpr.symbol(f"{fresh}{step}({idx.sigma},{idx.m})")
+        new.append(coeffs)
+    return TowerProfile(n=n, q=q, s=new_s, f_coeffs=new[0], g_coeffs=new[1],
                         l2_part=profile.l2_part, step=step)
 
 
@@ -328,20 +328,8 @@ def solve_whole_space(f_form: Form, g_form: Form, ctx: TowerContext,
         raise ValueError("data ranks must be (q, q+1)")
     f_coeffs = _coeffs_of(f_form, q, "D", ctx, k_max)
     g_coeffs = _coeffs_of(g_form, q + 1, "R", ctx, k_max)
-    e = Form.zero(n, q)
-    for j_idx, c in sorted(g_coeffs.items()):
-        shifted, _ = shift_index(j_idx, 1)
-        member = ctx.d_form(q, shifted)
-        if member is None:
-            raise ConsistencyError(f"missing D member at {shifted}")
-        e = e + member.scale(c)
-    h = Form.zero(n, q + 1)
-    for i_idx, c in sorted(f_coeffs.items()):
-        shifted, _ = shift_index(i_idx, 1)
-        member = ctx.r_form(q + 1, shifted)
-        if member is None:
-            raise ConsistencyError(f"missing R member at {shifted}")
-        h = h + member.scale(c)
+    e = ctx.combine(q, "D", _shifted(g_coeffs))
+    h = ctx.combine(q + 1, "R", _shifted(f_coeffs))
     if e.rot() != g_form:
         raise ConsistencyError("rot E != G after whole-space solve")
     if h.div() != f_form:
@@ -371,28 +359,20 @@ def verify_recursion(ctx: TowerContext, q: int, f_coeffs: dict, g_coeffs: dict,
     def add(name, passed, detail=""):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    f_form = Form.zero(n, q)
-    for idx, c in sorted(f_coeffs.items()):
-        f_form = f_form + ctx.d_form(q, idx).scale(qq(c))
-    g_form = Form.zero(n, q + 1)
-    for idx, c in sorted(g_coeffs.items()):
-        g_form = g_form + ctx.r_form(q + 1, idx).scale(qq(c))
-
-    cur_f, cur_g = dict(f_coeffs), dict(g_coeffs)
-    cur_pair = MaxwellPair(f_form, g_form)
+    cur_f = {idx: qq(c) for idx, c in f_coeffs.items()}
+    cur_g = {idx: qq(c) for idx, c in g_coeffs.items()}
+    cur_pair = MaxwellPair(ctx.combine(q, "D", cur_f), ctx.combine(q + 1, "R", cur_g))
     for step in range(1, j + 1):
         solved = solve_whole_space(cur_pair.e, cur_pair.h, ctx, k_max=k_max)
         maxwell_image = (solved.h.div(), solved.e.rot())
         add(f"step-{step}-solves-data",
             maxwell_image[0] == cur_pair.e and maxwell_image[1] == cur_pair.h)
-        want_e = {shift_index(idx, 1)[0]: qq(c) for idx, c in cur_g.items()}
-        want_h = {shift_index(idx, 1)[0]: qq(c) for idx, c in cur_f.items()}
+        want_e = {i: c for i, c in _shifted(cur_g).items() if c}
+        want_h = {i: c for i, c in _shifted(cur_f).items() if c}
         res = expand(solved, top + step + 1, ctx)
         add(f"step-{step}-expansion-exact", res.exact)
         got_e = dict(res.e_side.coeffs)
         got_h = dict(res.h_side.coeffs)
-        want_e = {i: c for i, c in want_e.items() if c}
-        want_h = {i: c for i, c in want_h.items() if c}
         add(f"step-{step}-coefficients-shifted",
             got_e == want_e and got_h == want_h,
             "" if (got_e == want_e and got_h == want_h) else

@@ -79,15 +79,15 @@ def homogeneity_degree(sign: int, k: int, sigma: int, n: int) -> int:
 def tower_coefficient(sign: int, q: int, sigma: int, k: int, n: int) -> QQ:
     """Normalization coefficient of floor k, by the two-term recursion
 
-        a_k = a_{k-1} / (2k (2k + sign*(2 sigma + n))),
+        a_k = a_{k-1} / _ladder_step(n, g, k) = a_{k-1} / (2k (2k + sign*(2 sigma + n)))
 
-    base a_0 = 1 on the decaying side and
+    at the floor-0 degree g, base a_0 = 1 on the decaying side and
     a_0 = (-1)^(1 + [q=0] + [q=n]) / (2 sigma + n) on the polynomial side.
 
-    These are the ladder scalars of build_tower_pair: with g the floor-0
-    degree, floor 2j+1 is a_j/a_0 r^(2j) R_op(X) / (n+g-q) on the a_chain of
-    a rank-q seed X and a_j/a_0 r^(2j) T_op(Y) / (g+q+1) on the b_chain of a
-    rank-(q+1) seed Y.
+    These are the ladder scalars of build_tower_pair: a_j/a_0 = base c_j for
+    the c_j of _ladder, so floor 2j+1 is a_j/a_0 r^(2j) R_op(X) / (n+g-q) on
+    the a_chain of a rank-q seed X and a_j/a_0 r^(2j) T_op(Y) / (g+q+1) on the
+    b_chain of a rank-(q+1) seed Y.
     """
     require_odd_dimension(n)
     if sign not in (1, -1):
@@ -101,22 +101,43 @@ def tower_coefficient(sign: int, q: int, sigma: int, k: int, n: int) -> QQ:
         a = QQ(-1) ** expo / QQ(2 * sigma + n)
     else:
         a = _Q1
+    g = homogeneity_degree(sign, 0, sigma, n)
     for j in range(1, k + 1):
-        a = a / QQ(2 * j * (2 * j + sign * (2 * sigma + n)))
+        a = a / _ladder_step(n, g, j)
     return a
+
+
+def multiplicity(n: int, rank: int, line: str, sigma: int, k: int) -> int:
+    """Member count of floor k at the given rank on the D or R line.
+
+    D line: floors alternate between the rank-q and rank-(q+1) seed counts;
+    R line mirrors one rank up.  This is the bookkeeping count; the one
+    identically vanishing slot (decaying extreme-rank floor 0) still counts 1
+    here and resolves to an absent form.
+    """
+    require_odd_dimension(n)
+    if line not in ("D", "R"):
+        raise ValueError(f"line must be 'D' or 'R', got {line!r}")
+    low, partner = (0, rank + 1) if line == "D" else (1, rank - 1)
+    if not low <= rank <= n - 1 + low:
+        raise InvalidRankError(f"{line}-line rank {rank} outside {low}..{n - 1 + low}")
+    return mu(n, rank if k % 2 == 0 else partner, sigma)
 
 
 # ---------------------------------------------------------------------------
 # closed-form ladders
 # ---------------------------------------------------------------------------
 
+def _ladder_step(n: int, g: int, j: int) -> int:
+    """The j-th floor-coefficient divisor 2j(n + 2g + 2j) at floor-0 degree g."""
+    return 2 * j * (n + 2 * g + 2 * j)
+
+
 def _ladder(seed: Form, degree: int, floors: int, base: int, up, down) -> list:
     """Closed-form ladder F_0..F_floors from a bi-closed seed of rank p and
     degree g.  With the scalars c_0 = 1/base and, for j >= 1,
 
-        v_j = -c_{j-1} / (n + 2g + 2j)
-        u_j = (base + 2j) c_{j-1} / (2j (n + 2g + 2j))
-        c_j = c_{j-1} / (2j (n + 2g + 2j))
+        c_j = c_{j-1} / _ladder_step(n, g, j),  u_j = (base + 2j) c_j,  v_j = -2j c_j
 
     the members are F_0 = seed and
 
@@ -136,22 +157,20 @@ def _ladder(seed: Form, degree: int, floors: int, base: int, up, down) -> list:
     odd = up(seed)
     lowered = down(seed)
     back = None if lowered.is_zero() else up(lowered)
-    c_prev = _Q1 / QQ(base)
-    out.append(odd.scale(c_prev))
+    c = _Q1 / QQ(base)
+    out.append(odd.scale(c))
     j = 1
     while len(out) <= floors:
-        denom = QQ(n + 2 * g + 2 * j)
-        if not denom:
+        step = _ladder_step(n, g, j)
+        if not step:
             raise ConsistencyError(f"ladder denominator vanished at j={j}")
-        v = -c_prev / denom
-        u = QQ(base + 2 * j) * c_prev / (QQ(2 * j) * denom)
-        even = seed.mul_r_power(2 * j).scale(u)
+        c = c / step
+        even = seed.mul_r_power(2 * j).scale(QQ(base + 2 * j) * c)
         if back is not None and not back.is_zero():
-            even = even + back.mul_r_power(2 * j - 2).scale(v)
+            even = even + back.mul_r_power(2 * j - 2).scale(QQ(-2 * j) * c)
         out.append(even)
-        c_prev = c_prev / (QQ(2 * j) * denom)
         if len(out) <= floors:
-            out.append(odd.mul_r_power(2 * j).scale(c_prev))
+            out.append(odd.mul_r_power(2 * j).scale(c))
         j += 1
     return out[:floors + 1]
 
@@ -187,13 +206,21 @@ class TowerFamily:
     floors: int
     d_floors: list
     r_floors: list
-    ghost_a: bool = False
-    ghost_b: bool = False
 
     @property
     def omega_sq(self) -> int:
         """Angular eigenvalue metadata (sigma+q)(sigma+n-q)."""
         return (self.sigma + self.q) * (self.sigma + self.n - self.q)
+
+    @property
+    def ghost_a(self) -> bool:
+        """D_0 vanishes: the decaying rank-0 seed at sigma 0 is zero."""
+        return self.sign < 0 and self.sigma == 0 and self.q == 0
+
+    @property
+    def ghost_b(self) -> bool:
+        """R_0 vanishes: the decaying rank-n seed at sigma 0 is zero."""
+        return self.sign < 0 and self.sigma == 0 and self.q == self.n - 1
 
     def degree_of_floor(self, k: int) -> int:
         return homogeneity_degree(self.sign, k, self.sigma, self.n)
@@ -201,25 +228,20 @@ class TowerFamily:
     def d_member(self, k: int, m: int):
         """Floor-k member m (1-based) of the D line, or None when the slot
         vanishes identically (extreme-rank floor 0)."""
-        return self._member(self.d_floors, self.expected_d_count, k, m)
+        return self._member("D", k, m)
 
     def r_member(self, k: int, m: int):
         """Floor-k member m (1-based) of the R line; see d_member."""
-        return self._member(self.r_floors, self.expected_r_count, k, m)
+        return self._member("R", k, m)
 
-    def _member(self, line: list, expected_count, k: int, m: int):
+    def _member(self, line: str, k: int, m: int):
         if not 0 <= k <= self.floors:
             raise IndexError(f"floor {k} outside 0..{self.floors}")
-        lst = line[k]
-        if not 1 <= m <= max(len(lst), expected_count(k)):
+        lst, rank = ((self.d_floors[k], self.q) if line == "D"
+                     else (self.r_floors[k], self.q + 1))
+        if not 1 <= m <= max(len(lst), multiplicity(self.n, rank, line, self.sigma, k)):
             raise IndexError(f"member {m} outside the floor-{k} multiplicity")
         return lst[m - 1] if m <= len(lst) else None
-
-    def expected_d_count(self, k: int) -> int:
-        return mu(self.n, self.q if k % 2 == 0 else self.q + 1, self.sigma)
-
-    def expected_r_count(self, k: int) -> int:
-        return mu(self.n, self.q + 1 if k % 2 == 0 else self.q, self.sigma)
 
     def to_obj(self) -> dict:
         return {
@@ -242,12 +264,17 @@ class TowerFamily:
             raise ValueError(
                 f"floors is {floors} but d_floors/r_floors hold "
                 f"{len(d_floors)}/{len(r_floors)} floors")
-        return cls(
-            n=int(obj["n"]), q=int(obj["q"]), sign=_SIGNS[obj["sign"]],
-            sigma=int(obj["sigma"]), floors=floors,
-            d_floors=d_floors, r_floors=r_floors,
-            ghost_a=bool(obj.get("ghost_a")), ghost_b=bool(obj.get("ghost_b")),
-        )
+        fam = cls(n=int(obj["n"]), q=int(obj["q"]), sign=_SIGNS[obj["sign"]],
+                  sigma=int(obj["sigma"]), floors=floors,
+                  d_floors=d_floors, r_floors=r_floors)
+        for line, rank, stored in (("D", fam.q, d_floors), ("R", fam.q + 1, r_floors)):
+            for f in (f for members in stored for f in members):
+                if (f.n, f.q) != (fam.n, rank):
+                    raise ValueError(f"a {line} member has n={f.n} rank {f.q}, "
+                                     f"expected n={fam.n} rank {rank}")
+        if (bool(obj.get("ghost_a")), bool(obj.get("ghost_b"))) != (fam.ghost_a, fam.ghost_b):
+            raise ValueError("ghost_a/ghost_b disagree with the family header")
+        return fam
 
 
 def build_tower_pair(n: int, q: int, sign: int, sigma: int,
@@ -271,11 +298,10 @@ def build_tower_pair(n: int, q: int, sign: int, sigma: int,
     a_seeds = seed_basis(n, q, g0)
     b_seeds = seed_basis(n, q + 1, g0)
 
-    ghost_a = sign < 0 and sigma == 0 and q == 0
-    ghost_b = sign < 0 and sigma == 0 and q == n - 1
-
     d_floors = [[] for _ in range(floors + 1)]
     r_floors = [[] for _ in range(floors + 1)]
+    fam = TowerFamily(n=n, q=q, sign=sign, sigma=sigma, floors=floors,
+                      d_floors=d_floors, r_floors=r_floors)
 
     # (ladder, its first floor, line of its even members, line of its odd members)
     ladders = [(a_chain(x, g0, floors), 0, d_floors, r_floors) for x in a_seeds.forms]
@@ -283,19 +309,16 @@ def build_tower_pair(n: int, q: int, sign: int, sigma: int,
     if floors >= 1:
         # the rank-0 (rank-n) decaying seed vanishes; its ladder enters at
         # floor 1 with the inverse-power radial form (its Hodge star)
-        if ghost_a:
+        if fam.ghost_a:
             boot = seed_basis(n, 1, 1 - n).forms[0]
             ladders.append((b_chain(boot, 1 - n, floors - 1), 1, r_floors, d_floors))
-        if ghost_b:
+        if fam.ghost_b:
             boot = seed_basis(n, n - 1, 1 - n).forms[0]
             ladders.append((a_chain(boot, 1 - n, floors - 1), 1, d_floors, r_floors))
     for chain, first, even, odd in ladders:
         for c, f in enumerate(chain):
             (even if c % 2 == 0 else odd)[first + c].append(f)
-
-    return TowerFamily(n=n, q=q, sign=sign, sigma=sigma, floors=floors,
-                       d_floors=d_floors, r_floors=r_floors,
-                       ghost_a=ghost_a, ghost_b=ghost_b)
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +342,16 @@ def verify_family(fam: TowerFamily, rebuild: bool = True,
         names.append("floor-independence")
     bad = {name: [] for name in names}   # failure messages by check
 
-    # per line: its floors, the partner line, the operator that vanishes on the
-    # whole line (if it is checked there) and its check, the ladder operator
+    # per line: its rank, floors and partner line, the operator that vanishes on
+    # the whole line (if it is checked there) and its check, the ladder operator
     # (if floor 0 must be closed under it) and its check, the floor-0 ghost slot
-    lines = (("D", fam.d_floors, fam.expected_d_count, "R", fam.r_floors,
+    lines = (("D", q, fam.d_floors, "R", fam.r_floors,
               "div", q > 0, "div-free-d-line", "rot", q < n, "rot-ladder", fam.ghost_a),
-             ("R", fam.r_floors, fam.expected_r_count, "D", fam.d_floors,
+             ("R", q + 1, fam.r_floors, "D", fam.d_floors,
               "rot", q + 1 < n, "rot-free-r-line", "div", True, "div-ladder", fam.ghost_b))
     for k in range(K + 1):
         want = fam.degree_of_floor(k)
-        for (line, own, expected_count, other, partners, free_op, free_on, free_check,
+        for (line, rank, own, other, partners, free_op, free_on, free_check,
              step_op, seed_step, step_check, ghost) in lines:
             members = own[k]
             for m, f in enumerate(members, 1):
@@ -354,7 +377,7 @@ def verify_family(fam: TowerFamily, rebuild: bool = True,
                 if f.is_zero() or f.homogeneous_degree() != want:
                     bad["floor-homogeneity"].append(
                         f"{line}_{k} member {m} degree {f.homogeneous_degree()} != {want}")
-            want_count = 0 if ghost and k == 0 else expected_count(k)
+            want_count = 0 if ghost and k == 0 else multiplicity(n, rank, line, fam.sigma, k)
             if len(members) != want_count:
                 bad["floor-multiplicity"].append(
                     f"{line}_{k}: {len(members)} members, expected {want_count}")
@@ -392,15 +415,10 @@ def verify_low_floor_harmonicity(fam: TowerFamily) -> dict:
                     "passed": lap.is_zero(),
                     "detail": "" if lap.is_zero() else "laplacian nonzero"})
     if fam.floors >= 2:
-        nontrivial = False
-        for floors_ in (fam.d_floors, fam.r_floors):
-            for f in floors_[2]:
-                if not f.laplacian().is_zero():
-                    nontrivial = True
-        checks.append({"name": "floor-2-not-harmonic", "passed": nontrivial or
-                       not (fam.d_floors[2] or fam.r_floors[2]),
-                       "detail": "floor 2 unexpectedly harmonic"
-                       if not nontrivial else ""})
+        floor2 = fam.d_floors[2] + fam.r_floors[2]
+        nontrivial = any(not f.laplacian().is_zero() for f in floor2)
+        checks.append({"name": "floor-2-not-harmonic", "passed": nontrivial or not floor2,
+                       "detail": "floor 2 unexpectedly harmonic" if not nontrivial else ""})
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
@@ -424,17 +442,33 @@ class TowerContext:
             self._families[key] = fam
         return fam
 
+    def member(self, rank: int, line: str, index: TowerIndex):
+        """Member of the given rank on line "D" (the family rank) or "R" (one
+        above it), or None if its slot vanishes."""
+        if line == "R" and rank < 1:
+            raise InvalidRankError("R-line members have rank >= 1")
+        fam = self.family(rank if line == "D" else rank - 1, index.sign,
+                          index.sigma, index.k)
+        return fam._member(line, index.k, index.m)
+
     def d_form(self, rank: int, index: TowerIndex):
         """D-line member of the given rank (family rank), or None if absent."""
-        fam = self.family(rank, index.sign, index.sigma, index.k)
-        return fam.d_member(index.k, index.m)
+        return self.member(rank, "D", index)
 
     def r_form(self, rank: int, index: TowerIndex):
         """R-line member of the given rank (family rank-1), or None if absent."""
-        if rank < 1:
-            raise InvalidRankError("R-line members have rank >= 1")
-        fam = self.family(rank - 1, index.sign, index.sigma, index.k)
-        return fam.r_member(index.k, index.m)
+        return self.member(rank, "R", index)
+
+    def combine(self, rank: int, line: str, coeffs: dict) -> Form:
+        """sum c * member(rank, line, index) over coeffs {index: c}, in
+        sorted index order; an absent member is a ConsistencyError."""
+        total = Form.zero(self.n, rank)
+        for idx, c in sorted(coeffs.items()):
+            f = self.member(rank, line, idx)
+            if f is None:
+                raise ConsistencyError(f"missing {line} member at {idx}")
+            total = total + f.scale(qq(c))
+        return total
 
 
 # ---------------------------------------------------------------------------

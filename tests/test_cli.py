@@ -43,8 +43,15 @@ def test_build_emits_schema_and_is_deterministic(tmp_path, capsys):
     assert len(obj["families"]) == 2          # both signs at sigma = 1
 
 
-def test_build_rejects_even_dimension(capsys):
-    code, out, err = run(capsys, "build", "--n", "4", "--q", "1")
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "4", "--q", "1"],
+    ["build", "--n", "4", "--q", "1", "--sigma-max", "-1"],
+    ["dims", "--n", "4", "--sigma-max", "-1"],
+    ["weights", "--n", "4"],
+    ["iterate", "--n", "4", "--q", "1", "--weight", "1", "--power", "1"],
+], ids=["build", "build-no-sigmas", "dims-no-sigmas", "weights", "iterate"])
+def test_build_rejects_even_dimension(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert "even dimension" in err
 
@@ -114,6 +121,7 @@ _FAMILY = build_tower_pair(3, 1, 1, 0, floors=2)
 _FAMILY_DOC = _FAMILY.to_obj()
 _FLOOR_2_TAMPERED = dict(_FAMILY_DOC, floors=1, d_floors=_FAMILY_DOC["d_floors"][:2] + [
     [_FAMILY.d_floors[2][0].scale(qq(3)).to_obj()] + _FAMILY_DOC["d_floors"][2][1:]])
+_ZERO_PAIR = MaxwellPair(Form.zero(3, 1), Form.zero(3, 2)).to_obj()
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -128,10 +136,15 @@ _FLOOR_2_TAMPERED = dict(_FAMILY_DOC, floors=1, d_floors=_FAMILY_DOC["d_floors"]
     (["verify", "{path}"], dict(_FAMILY_DOC, floors=4)),
     (["verify", "--no-rebuild", "{path}"], _FLOOR_2_TAMPERED),
     (["verify", "{path}"], dict(_FAMILY_DOC, sign="x")),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, n=5)),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, q=2)),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, ghost_a=True)),
+    (["expand", "--input", "{path}", "--floors", "0"], _ZERO_PAIR),
 ], ids=["verify-list", "verify-bad-family", "classify-list",
         "classify-list-components", "expand-zero-denominator", "iterate-list",
         "verify-floors-beyond-stored", "verify-floors-short-of-stored",
-        "verify-unknown-sign"])
+        "verify-unknown-sign", "verify-n-not-stored", "verify-q-not-stored",
+        "verify-ghost-flag-not-derived", "expand-floors-0"])
 def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -280,6 +293,30 @@ def test_dims_table(capsys):
 def test_usage_exit_code_for_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_bad_seed_cache_entries_are_recomputed(tmp_path, capsys, monkeypatch):
+    from towercalc import harmonic
+    argv = ("dims", "--n", "3", "--sigma-max", "1")
+    monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    assert run(capsys, *argv)[:2] == (0, want)
+    # a truncated entry, and a well-formed one whose stored degree is not
+    # the degree in its file name
+    entry = tmp_path / "seeds_n3_q1_h1.json"
+    (tmp_path / "seeds_n3_q1_h0.json").write_bytes(entry.read_bytes())
+    entry.write_bytes(entry.read_bytes()[:100])
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (0, want)
+    assert err.count("recomputing") == 2
+    # the recomputed entries were written back and load silently
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    assert run(capsys, *argv) == (0, want, "")
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from towercalc import towers
 from towercalc.errors import HypothesisError
 from towercalc.harmonic import mu
 from towercalc.indices import (enumerate_excluded, exceptional_weights,
@@ -54,6 +55,8 @@ def test_multiplicity_parity_rules():
         multiplicity(n, 3, "D", 0, 0)    # D-line rank capped at n-1
     with pytest.raises(Exception):
         multiplicity(n, 0, "R", 0, 0)    # R-line rank starts at 1
+    # one rule: the families count their floors with the same function
+    assert multiplicity is towers.multiplicity
 
 
 def brute_force_excluded(n, rank, line, k_max, s):

@@ -168,6 +168,22 @@ def test_vanished_slots_resolve_to_none(ctx3):
     assert ctx3.r_form(3, TowerIndex(-1, 0, 0, 1)) is None
 
 
+def test_combine_is_the_member_sum(ctx3):
+    q = 1
+    coeffs = {TowerIndex(1, 1, 1, 2): qq("3/7"), TowerIndex(-1, 0, 0, 1): qq(2),
+              TowerIndex(-1, 2, 1, 4): qq(-5)}
+    for rank, line, member in ((q, "D", ctx3.d_form), (q + 1, "R", ctx3.r_form)):
+        want = Form.zero(3, rank)
+        for idx, c in coeffs.items():
+            want = want + member(rank, idx).scale(c)
+        assert ctx3.combine(rank, line, coeffs) == want
+        assert ctx3.member(rank, line, TowerIndex(1, 1, 1, 2)) == \
+            member(rank, TowerIndex(1, 1, 1, 2))
+    # the decaying rank-0 seed at sigma 0 vanishes: its slot has no member
+    with pytest.raises(ConsistencyError, match="missing D member"):
+        ctx3.combine(0, "D", {TowerIndex(-1, 0, 0, 1): qq(1)})
+
+
 def test_ghost_families():
     n = 3
     ghost = radial_one_form(n).mul_r_power(-n)
