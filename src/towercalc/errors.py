@@ -16,5 +16,14 @@ class HypothesisError(ValueError):
 
 
 def require_odd_dimension(n: int) -> None:
-    if n < 3 or n % 2 == 0:
+    if n < 3:
+        raise ValueError(f"dimension {n}: too small (need odd n >= 3)")
+    if n % 2 == 0:
         raise ValueError(f"dimension {n}: even dimension unsupported (need odd n >= 3)")
+
+
+def require_int(value, field: str) -> int:
+    """An integer field of a decoded document; bool, float and str are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value

@@ -16,6 +16,7 @@ exterior algebra).  T_op on rank 0 is the zero 0-form by convention.
 
 from __future__ import annotations
 
+from .errors import require_int
 from .ring import QQ, RadialRingElement, qq
 
 _Q0 = QQ(0)
@@ -157,22 +158,37 @@ class Form:
 
     # -- differential operators ----------------------------------------------
 
+    def _raise_rank(self, add_into) -> "Form":
+        """sum_i dx^i wedge (op_i f), where add_into(el, table, i, sign) adds
+        sign * op_i(el) to a part table in normal form."""
+        tables: dict = {}
+        for idx, el in self.components.items():
+            for i in range(1, self.n + 1):
+                if i in idx:
+                    continue
+                pos = sum(1 for j in idx if j < i)
+                add_into(el, tables.setdefault(tuple(sorted(idx + (i,))), {}),
+                         i, -1 if pos % 2 else 1)
+        return self._from_tables(self.q + 1, tables)
+
+    def _lower_rank(self, add_into) -> "Form":
+        """sum_t (-1)^(t-1) op_{i_t}(f_I) dx^(I without i_t), add_into as above."""
+        tables: dict = {}
+        for idx, el in self.components.items():
+            for t, i in enumerate(idx):
+                add_into(el, tables.setdefault(idx[:t] + idx[t + 1:], {}),
+                         i, -1 if t % 2 else 1)
+        return self._from_tables(self.q - 1, tables)
+
+    def _from_tables(self, q: int, tables: dict) -> "Form":
+        return Form(self.n, q, {idx: RadialRingElement(self.n, t, _canonical=True)
+                                for idx, t in tables.items() if t})
+
     def rot(self) -> "Form":
         """Exterior derivative; GradeError at top rank."""
         if self.q == self.n:
             raise GradeError(f"rot undefined on rank-{self.q} forms in dimension {self.n}")
-        out: dict = {}
-        for idx, el in self.components.items():
-            idx_set = set(idx)
-            for i in range(1, self.n + 1):
-                if i in idx_set:
-                    continue
-                d = el.diff(i)
-                if d.is_zero():
-                    continue
-                pos = sum(1 for j in idx if j < i)
-                _accumulate(out, tuple(sorted(idx + (i,))), d, pos % 2 == 1)
-        return Form(self.n, self.q + 1, out)
+        return self._raise_rank(RadialRingElement.add_diff_into)
 
     def div(self) -> "Form":
         """Codifferential by the index formula; GradeError at rank 0.
@@ -181,25 +197,16 @@ class Form:
         """
         if self.q == 0:
             raise GradeError("div undefined on rank-0 forms")
-        out: dict = {}
-        for idx, el in self.components.items():
-            for t, i in enumerate(idx):
-                d = el.diff(i)
-                if d.is_zero():
-                    continue
-                _accumulate(out, idx[:t] + idx[t + 1:], d, t % 2 == 1)
-        return Form(self.n, self.q - 1, out)
+        return self._lower_rank(RadialRingElement.add_diff_into)
 
     def laplacian(self) -> "Form":
-        """Componentwise sum of second partials (sign: Delta = rot div + div rot)."""
-        out = {}
-        for idx, el in self.components.items():
-            acc = RadialRingElement.zero(self.n)
-            for i in range(1, self.n + 1):
-                acc = acc + el.diff(i).diff(i)
-            if not acc.is_zero():
-                out[idx] = acc
-        return Form(self.n, self.q, out)
+        """Componentwise sum of second partials (sign: Delta = rot div + div rot).
+
+        Each coefficient part r^b p, p homogeneous of degree m, maps to
+        r^b Delta p + b (2m + b + n - 2) r^(b-2) p (RadialRingElement.laplacian).
+        """
+        return Form(self.n, self.q,
+                    {idx: el.laplacian() for idx, el in self.components.items()})
 
     # -- radial operators ----------------------------------------------------
 
@@ -207,18 +214,13 @@ class Form:
         """R_op: wedge with sum x_i dx^i.  Rank n input gives the zero form."""
         if self.q == self.n:
             return Form.zero(self.n, self.n)
-        return radial_one_form(self.n).wedge(self)
+        return self._raise_rank(RadialRingElement.add_var_into)
 
     def radial_contraction(self) -> "Form":
         """T_op: contraction with the Euler field.  Rank 0 gives the zero 0-form."""
         if self.q == 0:
             return Form.zero(self.n, 0)
-        out: dict = {}
-        for idx, el in self.components.items():
-            for t, i in enumerate(idx):
-                xi = RadialRingElement.variable(self.n, i)
-                _accumulate(out, idx[:t] + idx[t + 1:], el * xi, t % 2 == 1)
-        return Form(self.n, self.q - 1, out)
+        return self._lower_rank(RadialRingElement.add_var_into)
 
     # -- homogeneity ---------------------------------------------------------
 
@@ -256,7 +258,7 @@ class Form:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Form":
-        n, q = int(obj["n"]), int(obj["q"])
+        n, q = require_int(obj["n"], "n"), require_int(obj["q"], "q")
         comps = {}
         for key, recs in obj.get("components", {}).items():
             idx = tuple(int(s) for s in key.split(",")) if key else ()

@@ -22,7 +22,8 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ConsistencyError, InvalidRankError, require_odd_dimension
+from .errors import (ConsistencyError, InvalidRankError, require_int,
+                     require_odd_dimension)
 from .forms import Form, R_op, T_op, coordinate_vectors, radial_one_form, \
     sphere_inner_product
 from .linalg import nullspace, rref, solve_posdef
@@ -124,7 +125,8 @@ class SeedSpace:
     @classmethod
     def from_obj(cls, obj: dict) -> "SeedSpace":
         forms = tuple(Form.from_obj(o) for o in obj["forms"])
-        return cls(int(obj["n"]), int(obj["q"]), int(obj["degree"]), forms)
+        return cls(require_int(obj["n"], "n"), require_int(obj["q"], "q"),
+                   require_int(obj["degree"], "degree"), forms)
 
 
 _CACHE: dict = {}

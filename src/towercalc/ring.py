@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import require_int
+
 try:
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -96,22 +98,47 @@ def _pmul(p: dict, q: dict) -> dict:
     return out
 
 
-def _pdiff(p: dict, i: int) -> dict:
-    """d/dx_i of a polynomial dict; i is 0-based here."""
-    out = {}
+def _add_term(table: dict, key: tuple, alpha: tuple, c) -> None:
+    """table[key][alpha] += c, dropping cancelled terms and emptied parts."""
+    poly = table.get(key)
+    if poly is None:
+        table[key] = {alpha: c}
+        return
+    old = poly.get(alpha)
+    if old is None:
+        poly[alpha] = c
+        return
+    new = old + c
+    if new:
+        poly[alpha] = new
+    else:
+        del poly[alpha]
+        if not poly:
+            del table[key]
+
+
+def _times(c, k: int):
+    """c * k for an integer k, skipping the multiply at k = +-1."""
+    return c if k == 1 else -c if k == -1 else c * k
+
+
+def _add_var_times(table: dict, key: tuple, p: dict, j: int, k: int) -> None:
+    """table[key] += k * x_j * p for a reduced p (j 0-based), in normal form.
+
+    x_j * p stays reduced unless j = 0 and a monomial already holds x_1; that
+    x_1^2 * x^beta is r^2 * x^beta - sum_{l>=2} x_l^2 * x^beta, one step.
+    """
+    d, b = key
     for alpha, c in p.items():
-        e = alpha[i]
-        if e:
-            beta = alpha[:i] + (e - 1,) + alpha[i + 1:]
-            out[beta] = out.get(beta, _Q0) + c * e
-            if not out[beta]:
-                del out[beta]
-    return out
-
-
-def _pmul_var(p: dict, i: int) -> dict:
-    """x_i * p, i 0-based."""
-    return {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]: c for alpha, c in p.items()}
+        c = _times(c, k)
+        e = alpha[j]
+        if j or not e:
+            _add_term(table, key, alpha[:j] + (e + 1,) + alpha[j + 1:], c)
+            continue
+        beta = (0,) + alpha[1:]
+        _add_term(table, (d, b + 2), beta, c)
+        for t in range(1, len(alpha)):
+            _add_term(table, key, beta[:t] + (beta[t] + 2,) + beta[t + 1:], -c)
 
 
 def reduce_poly(p: dict, n: int) -> dict:
@@ -313,22 +340,54 @@ class RadialRingElement:
         """Partial derivative in x_i (1-based), using d/dx_i r^b = b r^(b-2) x_i."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} outside 1..{self.n}")
+        table: dict = {}
+        self.add_diff_into(table, i)
+        return RadialRingElement(self.n, table, _canonical=True)
+
+    def add_diff_into(self, table: dict, i: int, sign: int = 1) -> None:
+        """table += sign * d/dx_i(self), for a part table in normal form.
+
+        d/dx_i (r^b p) = r^b d_i p + b r^(b-2) x_i p: d_i of a reduced p is
+        reduced, and only x_1 p needs the one reduction step of _add_var_times.
+        """
         j = i - 1
-        raw: dict = {}
-
-        def put(key, poly):
-            if not poly:
-                return
-            if key in raw:
-                _padd_into(raw[key], poly)
-            else:
-                raw[key] = dict(poly)
-
         for (d, b), p in self.parts.items():
-            put((d - 1, b), _pdiff(p, j))
+            key = (d - 1, b)
+            for alpha, c in p.items():
+                e = alpha[j]
+                if e:
+                    _add_term(table, key, alpha[:j] + (e - 1,) + alpha[j + 1:],
+                              _times(c, sign * e))
             if b:
-                put((d - 1, b - 2), {a: c * b for a, c in _pmul_var(p, j).items()})
-        return RadialRingElement(self.n, raw)
+                _add_var_times(table, (d - 1, b - 2), p, j, sign * b)
+
+    def add_var_into(self, table: dict, i: int, sign: int = 1) -> None:
+        """table += sign * x_i * self, for a part table in normal form."""
+        for (d, b), p in self.parts.items():
+            _add_var_times(table, (d + 1, b), p, i - 1, sign)
+
+    def laplacian(self) -> "RadialRingElement":
+        """Sum of second partials by the closed form, part by part:
+
+            Delta(r^b p) = r^b Delta p + b (2 deg p + b + n - 2) r^(b-2) p,
+
+        where d_1^2 p = 0 for a reduced p, so every term is already reduced.
+        """
+        n = self.n
+        table: dict = {}
+        for (d, b), p in self.parts.items():
+            key = (d - 2, b)
+            for alpha, c in p.items():
+                for j in range(1, n):
+                    e = alpha[j]
+                    if e >= 2:
+                        _add_term(table, key, alpha[:j] + (e - 2,) + alpha[j + 1:],
+                                  c * (e * (e - 1)))
+            k = b * (2 * (d - b) + b + n - 2)
+            if k:
+                for alpha, c in p.items():
+                    _add_term(table, (d - 2, b - 2), alpha, _times(c, k))
+        return RadialRingElement(n, table, _canonical=True)
 
     def __eq__(self, other):
         if not isinstance(other, RadialRingElement):
@@ -364,10 +423,11 @@ class RadialRingElement:
     def from_records(cls, n: int, recs: list) -> "RadialRingElement":
         raw: dict = {}
         for rec in recs:
-            d, b = int(rec["degree"]), int(rec["r_exp"])
+            d = require_int(rec["degree"], "degree")
+            b = require_int(rec["r_exp"], "r_exp")
             poly = raw.setdefault((d, b), {})
             for t in rec["terms"]:
-                alpha = tuple(int(e) for e in t["alpha"])
+                alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
                 if len(alpha) != n:
                     raise ValueError("exponent tuple length != n")
                 c = qq(t["coef"])

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, InvalidRankError, require_odd_dimension
+from .errors import (ConsistencyError, InvalidRankError, require_int,
+                     require_odd_dimension)
 from .forms import Form, R_op, T_op, sphere_inner_product
 from .harmonic import mu, seed_basis
 from .linalg import matrix_rank
@@ -63,8 +64,8 @@ class TowerIndex:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TowerIndex":
-        return cls(_SIGNS[obj["sign"]], int(obj["k"]), int(obj["sigma"]),
-                   int(obj["m"]))
+        return cls(_SIGNS[obj["sign"]],
+                   *(require_int(obj[f], f) for f in ("k", "sigma", "m")))
 
     def __str__(self):
         s = "+" if self.sign > 0 else "-"
@@ -257,15 +258,16 @@ class TowerFamily:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TowerFamily":
-        floors = int(obj["floors"])
+        floors = require_int(obj["floors"], "floors")
         d_floors = [[Form.from_obj(o) for o in fl] for fl in obj["d_floors"]]
         r_floors = [[Form.from_obj(o) for o in fl] for fl in obj["r_floors"]]
         if floors < 0 or not floors + 1 == len(d_floors) == len(r_floors):
             raise ValueError(
                 f"floors is {floors} but d_floors/r_floors hold "
                 f"{len(d_floors)}/{len(r_floors)} floors")
-        fam = cls(n=int(obj["n"]), q=int(obj["q"]), sign=_SIGNS[obj["sign"]],
-                  sigma=int(obj["sigma"]), floors=floors,
+        fam = cls(n=require_int(obj["n"], "n"), q=require_int(obj["q"], "q"),
+                  sign=_SIGNS[obj["sign"]], sigma=require_int(obj["sigma"], "sigma"),
+                  floors=floors,
                   d_floors=d_floors, r_floors=r_floors)
         for line, rank, stored in (("D", fam.q, d_floors), ("R", fam.q + 1, r_floors)):
             for f in (f for members in stored for f in members):

@@ -8,12 +8,18 @@ route:
   laplacian_factored   rot div + div rot, with the grade guards
   direct_seed_basis    escalating general ansatz r^(degree-e) * (reduced monomials)
   tower_coefficient_closed   closed product form of the floor-coefficient recursion
+  diff_by_canonicalize d/dx_i term by term into raw parts, then the full
+                       canonicalization RadialRingElement(n, raw)
+  laplacian_by_diff    sum_i of second partials per component, through
+                       diff_by_canonicalize
+  r_op_by_wedge        radial_one_form(n).wedge(f), by ring multiplication
+  t_op_by_product      contraction with the Euler field as sums of el * x_i
 """
 
 import itertools
 
 from towercalc.errors import InvalidRankError, require_odd_dimension
-from towercalc.forms import Form
+from towercalc.forms import Form, radial_one_form
 from towercalc.harmonic import kernel_of_operators
 from towercalc.ring import QQ, RadialRingElement, reduced_monomials
 
@@ -106,3 +112,54 @@ def tower_coefficient_closed(sign: int, q: int, sigma: int, k: int, n: int) -> Q
     for t in range(k):
         prod = prod * (1 - half - sigma + t)
     return _Q1 / (fourk * fact * prod)
+
+
+def diff_by_canonicalize(el: RadialRingElement, i: int) -> RadialRingElement:
+    """d/dx_i (r^b p) = r^b d_i p + b r^(b-2) x_i p, summed into raw parts that
+    the constructor reduces afresh."""
+    j = i - 1
+    raw: dict = {}
+
+    def put(key, alpha, c):
+        poly = raw.setdefault(key, {})
+        poly[alpha] = poly.get(alpha, 0) + c
+
+    for (d, b), p in el.parts.items():
+        for alpha, c in p.items():
+            e = alpha[j]
+            if e:
+                put((d - 1, b), alpha[:j] + (e - 1,) + alpha[j + 1:], c * e)
+            if b:
+                put((d - 1, b - 2), alpha[:j] + (e + 1,) + alpha[j + 1:], c * b)
+    return RadialRingElement(el.n, raw)
+
+
+def laplacian_by_diff(f: Form) -> Form:
+    """Componentwise sum_i d^2/dx_i^2, by repeated generic differentiation."""
+    comps = {}
+    for idx, el in f.components.items():
+        acc = RadialRingElement.zero(f.n)
+        for i in range(1, f.n + 1):
+            acc = acc + diff_by_canonicalize(diff_by_canonicalize(el, i), i)
+        comps[idx] = acc
+    return Form(f.n, f.q, comps)
+
+
+def r_op_by_wedge(f: Form) -> Form:
+    """(sum x_i dx^i) wedge f; the zero rank-n form on rank n."""
+    if f.q == f.n:
+        return Form.zero(f.n, f.n)
+    return radial_one_form(f.n).wedge(f)
+
+
+def t_op_by_product(f: Form) -> Form:
+    """sum_t (-1)^(t-1) (f_I * x_{i_t}) dx^(I without i_t); zero on rank 0."""
+    if f.q == 0:
+        return Form.zero(f.n, 0)
+    total = Form.zero(f.n, f.q - 1)
+    for idx, el in f.components.items():
+        for t, i in enumerate(idx):
+            term = Form(f.n, f.q - 1, {
+                idx[:t] + idx[t + 1:]: el * RadialRingElement.variable(f.n, i)})
+            total = total - term if t % 2 else total + term
+    return total

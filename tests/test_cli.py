@@ -56,6 +56,13 @@ def test_build_rejects_even_dimension(capsys, argv):
     assert "even dimension" in err
 
 
+def test_dimension_below_three_is_not_called_even(capsys):
+    code, out, err = run(capsys, "dims", "--n", "1")
+    assert code == 2
+    assert "even" not in err
+    assert "n >= 3" in err
+
+
 def test_verify_passes_on_fresh_build(tmp_path, capsys):
     path = build_file(tmp_path, capsys)
     code, out, err = run(capsys, "verify", str(path))
@@ -140,11 +147,17 @@ _ZERO_PAIR = MaxwellPair(Form.zero(3, 1), Form.zero(3, 2)).to_obj()
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, q=2)),
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, ghost_a=True)),
     (["expand", "--input", "{path}", "--floors", "0"], _ZERO_PAIR),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, sigma=0.5)),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, floors="2")),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, n=3.7)),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, q=True)),
 ], ids=["verify-list", "verify-bad-family", "classify-list",
         "classify-list-components", "expand-zero-denominator", "iterate-list",
         "verify-floors-beyond-stored", "verify-floors-short-of-stored",
         "verify-unknown-sign", "verify-n-not-stored", "verify-q-not-stored",
-        "verify-ghost-flag-not-derived", "expand-floors-0"])
+        "verify-ghost-flag-not-derived", "expand-floors-0",
+        "verify-sigma-not-int", "verify-floors-str", "verify-n-float",
+        "verify-q-bool"])
 def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

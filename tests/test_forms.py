@@ -9,7 +9,9 @@ from towercalc.forms import (Form, GradeError, R_op, T_op, monomial_average,
                              sphere_inner_product)
 from towercalc.ring import QQ, RadialRingElement, monomials, qq
 
-from oracles import hodge_div, laplacian_factored
+from oracles import (hodge_div, laplacian_by_diff, laplacian_factored,
+                     r_op_by_wedge, t_op_by_product)
+from test_ring import ring_elements
 
 R = RadialRingElement
 
@@ -38,6 +40,23 @@ def homogeneous_forms(draw, n=3, q=None, degree=None):
         coef = R.from_poly(n, {alpha: draw(rationals)}).mul_r_power(b)
         form = form + Form.dx(n, draw(st.sampled_from(idx_choices)), coef)
     return form
+
+
+@st.composite
+def ring_forms(draw, n=3):
+    """Rank-q forms whose components are arbitrary ring elements: mixed
+    degrees, odd and even r-exponents, x_1-heavy monomials."""
+    q = draw(st.integers(0, n))
+    idx_choices = list(itertools.combinations(range(1, n + 1), q))
+    form = Form.zero(n, q)
+    for _ in range(draw(st.integers(1, 3))):
+        form = form + Form(n, q, {draw(st.sampled_from(idx_choices)):
+                                  draw(ring_elements(n, max_degree=2))})
+    return form
+
+
+operator_inputs = st.one_of(homogeneous_forms(), homogeneous_forms(n=5),
+                            ring_forms(), ring_forms(n=5))
 
 
 def test_component_keys_validated():
@@ -152,6 +171,17 @@ def test_radial_weight_commutators(f):
 @given(st.one_of(homogeneous_forms(degree=2), homogeneous_forms(n=5, degree=2)))
 def test_laplacian_factorizations_agree(f):
     assert f.laplacian() == laplacian_factored(f)
+
+
+@given(operator_inputs)
+def test_laplacian_matches_second_partials_oracle(f):
+    assert f.laplacian() == laplacian_by_diff(f)
+
+
+@given(operator_inputs)
+def test_radial_operators_match_product_oracles(f):
+    assert R_op(f) == r_op_by_wedge(f)
+    assert T_op(f) == t_op_by_product(f)
 
 
 def test_grade_guards():

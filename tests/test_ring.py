@@ -1,11 +1,15 @@
 import fractions
+import itertools
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from towercalc.forms import Form, R_op, T_op
 from towercalc.ring import (QQ, RadialRingElement, monomials, qq, qq_str,
                             reduce_poly, reduced_dimension, reduced_monomials)
+
+from oracles import diff_by_canonicalize
 
 R = RadialRingElement
 
@@ -14,11 +18,14 @@ rationals = st.fractions(min_value=-40, max_value=40, max_denominator=7).map(qq)
 
 @st.composite
 def ring_elements(draw, n=3, max_degree=3):
+    """Sums of c * r^b * x_1^e * x^alpha with odd and even b; the extra x_1
+    factor makes the x_1 reduction and the x_1-derivative paths common."""
     el = R.zero(n)
     for _ in range(draw(st.integers(0, 3))):
         d = draw(st.integers(0, max_degree))
         alpha = draw(st.sampled_from(list(monomials(n, d))))
-        b = draw(st.sampled_from([-2, 0, 2]))
+        alpha = (alpha[0] + draw(st.integers(0, 2)),) + alpha[1:]
+        b = draw(st.integers(-3, 3))
         c = draw(rationals)
         el = el + R.from_poly(n, {alpha: c}).mul_r_power(b)
     return el
@@ -126,13 +133,44 @@ def test_derivation_product_rule(a, b):
         assert (a * b).diff(i) == a.diff(i) * b + a * b.diff(i)
 
 
-@given(ring_elements())
-def test_canonical_form_has_no_leading_squares(a):
-    for (d, bb), poly in a.parts.items():
+@given(st.one_of(ring_elements(3), ring_elements(5)))
+def test_diff_matches_canonicalizing_oracle(a):
+    for i in range(1, a.n + 1):
+        assert a.diff(i) == diff_by_canonicalize(a, i)
+
+
+def assert_normal_form(el):
+    for (d, bb), poly in el.parts.items():
+        assert poly
         for alpha, cc in poly.items():
             assert alpha[0] < 2
             assert cc != 0
             assert sum(alpha) == d - bb
+
+
+@given(st.sampled_from([3, 5]).flatmap(
+    lambda n: st.tuples(ring_elements(n), ring_elements(n))))
+def test_canonical_form_has_no_leading_squares(pair):
+    # the operators build their output with _canonical=True, trusting that
+    # they only ever produce normal forms
+    a, b = pair
+    n = a.n
+    outputs = [a, a.laplacian()] + [a.diff(i) for i in range(1, n + 1)]
+    forms = []
+    for q in range(n + 1):
+        idxs = list(itertools.combinations(range(1, n + 1), q))
+        f = Form(n, q, {idxs[0]: a}) + Form(n, q, {idxs[-1]: b})
+        forms += [f.laplacian(), R_op(f), T_op(f)]
+        if q < n:
+            forms.append(f.rot())
+        if q > 0:
+            forms.append(f.div())
+    for f in forms:
+        for el in f.components.values():
+            assert not el.is_zero()
+            outputs.append(el)
+    for el in outputs:
+        assert_normal_form(el)
 
 
 @given(ring_elements())
