@@ -12,7 +12,7 @@ from .errors import (ConsistencyError, HypothesisError, InvalidRankError,
                      require_odd_dimension)
 from .forms import (Form, GradeError, R_op, T_op, radial_one_form,
                     monomial_average, poly_sphere_average, sphere_inner_product)
-from .harmonic import (SeedSpace, seed_basis, mu, harmonic_dimension, project,
+from .harmonic import (SeedSpace, seed_basis, mu, harmonic_dimension,
                        clear_cache)
 from .towers import (TowerIndex, TowerFamily, TowerContext,
                      ExceptionalFormDescriptor, a_chain, b_chain,
@@ -39,8 +39,7 @@ __all__ = [
     "require_odd_dimension",
     "Form", "GradeError", "R_op", "T_op", "radial_one_form",
     "monomial_average", "poly_sphere_average", "sphere_inner_product",
-    "SeedSpace", "seed_basis", "mu", "harmonic_dimension", "project",
-    "clear_cache",
+    "SeedSpace", "seed_basis", "mu", "harmonic_dimension", "clear_cache",
     "TowerIndex", "TowerFamily", "TowerContext", "ExceptionalFormDescriptor",
     "a_chain", "b_chain", "build_tower_pair", "exceptional_form",
     "homogeneity_degree", "tower_coefficient", "verify_family",

@@ -14,14 +14,14 @@ import io
 import json
 import sys
 
-from .errors import HypothesisError, require_odd_dimension
+from .errors import DECODE_ERRORS, HypothesisError, require_odd_dimension
 from .expansion import (MaxwellPair, expand, lemma34_classify,
                         membership_filter)
 from .forms import Form
 from .harmonic import mu
 from .indices import (enumerate_excluded, exceptional_weights,
                       is_exceptional_weight)
-from .ring import qq, qq_str
+from .ring import qq, qq_str, require_rational
 from .static_op import TowerProfile, apply_L_power, apply_L_profile
 from .towers import (TowerContext, TowerFamily, TowerIndex, build_tower_pair,
                      verify_family, verify_low_floor_harmonicity)
@@ -84,8 +84,7 @@ def _decode(path: str, decode):
     obj = _load_json(path)
     try:
         return decode(obj)
-    except (KeyError, TypeError, AttributeError, ValueError,
-            ZeroDivisionError) as ex:
+    except DECODE_ERRORS as ex:
         raise UsageError(f"invalid input in {path}: {type(ex).__name__}: {ex}")
 
 
@@ -226,7 +225,7 @@ def cmd_iterate(args) -> int:
 
 def _profile_seed_from_obj(obj) -> tuple:
     """(f_coeffs, g_coeffs) index -> coefficient maps of a profile seed."""
-    return tuple({TowerIndex.from_obj(row): qq_str_to_q(row["coeff"])
+    return tuple({TowerIndex.from_obj(row): require_rational(row["coeff"], "coeff")
                   for row in obj.get(key, [])}
                  for key in ("f_coeffs", "g_coeffs"))
 

@@ -15,6 +15,11 @@ class HypothesisError(ValueError):
     """Validated hypotheses for an operation are not satisfied."""
 
 
+# what decoding a wrong-shaped JSON document can raise: a missing key, a value
+# of the wrong type, a refused field value or a zero denominator
+DECODE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+
+
 def require_odd_dimension(n: int) -> None:
     if n < 3:
         raise ValueError(f"dimension {n}: too small (need odd n >= 3)")

@@ -197,18 +197,16 @@ class ExpansionResult:
                 "e": side_obj(self.e_side), "h": side_obj(self.h_side)}
 
 
-def expand(pair: MaxwellPair, k: int, ctx: TowerContext,
-           check_static: bool = True) -> ExpansionResult:
+def expand(pair: MaxwellPair, k: int, ctx: TowerContext) -> ExpansionResult:
     """Expand a static pair of height k over tower members of floors <= k-1
     plus the two height-k exceptional slots."""
     if ctx.n != pair.n:
         raise ValueError("context dimension mismatch")
     if k < 1:
         raise ValueError("height k must be >= 1")
-    if check_static:
-        rep = iterated_maxwell_check(pair, k)
-        if not rep["passed"]:
-            raise ValueError(f"input is not a static pair of height {k}: {rep}")
+    rep = iterated_maxwell_check(pair, k)
+    if not rep["passed"]:
+        raise ValueError(f"input is not a static pair of height {k}: {rep}")
     n, q = pair.n, pair.q
     e_hat = exceptional_form("D_hat", n, q, k)
     h_hat = exceptional_form("R_hat", n, q + 1, k)

@@ -118,9 +118,6 @@ class Form:
             return Form.zero(self.n, self.q)
         return Form(self.n, self.q, {i: e.scale(c) for i, e in self.components.items()})
 
-    def mul_element(self, el: RadialRingElement) -> "Form":
-        return Form(self.n, self.q, {i: el * e for i, e in self.components.items()})
-
     def mul_r_power(self, b: int) -> "Form":
         return Form(self.n, self.q,
                     {i: e.mul_r_power(b) for i, e in self.components.items()})
@@ -132,21 +129,6 @@ class Form:
     __hash__ = None
 
     # -- exterior algebra ----------------------------------------------------
-
-    def wedge(self, other: "Form") -> "Form":
-        if self.n != other.n:
-            raise ValueError("mixed dimensions")
-        if self.q + other.q > self.n:
-            return Form.zero(self.n, min(self.q + other.q, self.n))
-        out: dict = {}
-        for a_idx, a_el in self.components.items():
-            a_set = set(a_idx)
-            for b_idx, b_el in other.components.items():
-                if a_set & set(b_idx):
-                    continue
-                _accumulate(out, tuple(sorted(a_idx + b_idx)), a_el * b_el,
-                            _merge_sign(a_idx, b_idx) < 0)
-        return Form(self.n, self.q + other.q, out)
 
     def hodge_star(self) -> "Form":
         full = tuple(range(1, self.n + 1))
@@ -229,9 +211,6 @@ class Form:
         for el in self.components.values():
             degs.update(el.degrees())
         return sorted(degs)
-
-    def is_homogeneous(self) -> bool:
-        return len(self.coefficient_degrees()) <= 1
 
     def homogeneous_degree(self):
         """The single coefficient degree, or None if zero or mixed."""

@@ -22,11 +22,11 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
-from .errors import (ConsistencyError, InvalidRankError, require_int,
-                     require_odd_dimension)
+from .errors import (DECODE_ERRORS, ConsistencyError, InvalidRankError,
+                     require_int, require_odd_dimension)
 from .forms import Form, R_op, T_op, coordinate_vectors, radial_one_form, \
     sphere_inner_product
-from .linalg import nullspace, rref, solve_posdef
+from .linalg import nullspace, rref
 from .ring import QQ, RadialRingElement, monomials
 
 _Q0 = QQ(0)
@@ -149,7 +149,7 @@ def _load_cached(path: str, key: tuple):
         space = SeedSpace.from_obj(obj)
         ok = obj["kind"] == "seed_space" and (space.n, space.q, space.degree) == key \
             and all((f.n, f.q, f.homogeneous_degree()) == key for f in space.forms)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+    except (OSError, *DECODE_ERRORS):
         return None
     return space if ok else None
 
@@ -272,22 +272,3 @@ def harmonic_dimension(n: int, degree: int) -> int:
         return 1
     return comb(n + degree - 1, n - 1) - comb(n + degree - 3, n - 1)
 
-
-# ---------------------------------------------------------------------------
-# projections
-# ---------------------------------------------------------------------------
-
-def project(space: SeedSpace, form: Form):
-    """Sphere-orthogonal projection onto a seed space.
-
-    Returns (coefficients, remainder) with remainder = form - sum c_i b_i.
-    """
-    if space.dim == 0:
-        return [], form
-    rhs = [sphere_inner_product(form, b) for b in space.forms]
-    coeffs = solve_posdef(space.gram(), rhs)
-    rem = form
-    for c, b in zip(coeffs, space.forms):
-        if c:
-            rem = rem - b.scale(c)
-    return coeffs, rem

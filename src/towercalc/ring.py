@@ -11,35 +11,40 @@ remainders of division by r^2 - sum x_i^2 (leading monomial x_1^2 under
 graded lex), so this representation is a canonical normal form: two elements
 are equal in the quotient ring iff their part tables are identical.
 
-All arithmetic is exact.  Coefficients are gmpy2.mpq when available,
-fractions.Fraction otherwise.
+All arithmetic is exact; coefficients are fractions.Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction as QQ
 
 from .errors import require_int
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
 
 _Q0 = QQ(0)
 _Q1 = QQ(1)
 
 
 def qq(value) -> QQ:
-    """Coerce an int, string like '-3/2', or rational to the QQ backend."""
-    if isinstance(value, QQ):
-        return value
-    return QQ(str(value)) if isinstance(value, str) else QQ(value)
+    """Coerce an int, string like '-3/2', or rational to QQ."""
+    return value if isinstance(value, QQ) else QQ(value)
 
 
 def qq_str(value) -> str:
     """Serialize a rational as 'p' or 'p/q'."""
     return str(value)
+
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def require_rational(value, field: str) -> QQ:
+    """A rational field of a decoded document: only a string 'p' or 'p/q', as
+    qq_str writes it; numbers, booleans and other spellings are refused."""
+    if not isinstance(value, str) or not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(f"{field} must be a string 'p' or 'p/q', got {value!r}")
+    return QQ(value)
 
 
 def grlex_key(alpha):
@@ -64,11 +69,6 @@ def monomials(n: int, degree: int):
 def reduced_monomials(n: int, degree: int):
     """Monomials of the given degree with x1-exponent <= 1 (division remainders)."""
     return [alpha for alpha in monomials(n, degree) if alpha[0] <= 1]
-
-
-def reduced_dimension(n: int, degree: int) -> int:
-    """Number of reduced monomials of a degree (0 for negative degrees)."""
-    return len(reduced_monomials(n, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +270,6 @@ class RadialRingElement:
         """Sorted list of total degrees present."""
         return sorted({d for d, _ in self.parts})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def homogeneous_part(self, d: int) -> "RadialRingElement":
         kept = {k: dict(p) for k, p in self.parts.items() if k[0] == d}
         return RadialRingElement(self.n, kept, _canonical=True)
@@ -430,7 +427,7 @@ class RadialRingElement:
                 alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
                 if len(alpha) != n:
                     raise ValueError("exponent tuple length != n")
-                c = qq(t["coef"])
+                c = require_rational(t["coef"], "coef")
                 poly[alpha] = poly.get(alpha, _Q0) + c
         return cls(n, raw)
 

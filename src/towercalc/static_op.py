@@ -178,8 +178,7 @@ def _shifted(coeffs: dict) -> dict:
     return {shift_index(idx, 1)[0]: c for idx, c in coeffs.items()}
 
 
-def apply_L_profile(profile: TowerProfile, tau=None,
-                    validate: bool = True) -> TowerProfile:
+def apply_L_profile(profile: TowerProfile, tau=None) -> TowerProfile:
     """One application of the solution operator, on the bookkeeping level.
 
     The g-coefficient at J lands on the new D side at 1J, the f-coefficient
@@ -187,9 +186,8 @@ def apply_L_profile(profile: TowerProfile, tau=None,
     membership at the new weight s-1 gets a fresh symbolic coefficient.
     """
     n, q, s = profile.n, profile.q, profile.s
-    if validate:
-        require_hypotheses("operator_domain", n, s, tau,
-                           max_degree=profile.max_degree())
+    require_hypotheses("operator_domain", n, s, tau,
+                       max_degree=profile.max_degree())
     new_s = s - 1
     step = profile.step + 1
     new = []
@@ -272,20 +270,18 @@ class OperatorRangeDescriptor:
                              for k, v in b.items()}}
 
 
-def apply_L_power(profile: TowerProfile, j: int, tau=None,
-                  validate: bool = True):
+def apply_L_power(profile: TowerProfile, j: int, tau=None):
     """j-fold application; returns (profile, OperatorRangeDescriptor)."""
     if j < 1:
         raise ValueError("power j must be >= 1")
     n, q, s = profile.n, profile.q, profile.s
-    if validate:
-        require_hypotheses("operator_power", n, s, tau, j=j,
-                           max_degree=profile.max_degree())
+    require_hypotheses("operator_power", n, s, tau, j=j,
+                       max_degree=profile.max_degree())
     src_f, src_g = set(profile.f_coeffs), set(profile.g_coeffs)
     max_h = profile.max_degree()
     cur = profile
     for _ in range(j):
-        cur = apply_L_profile(cur, tau, validate=validate)
+        cur = apply_L_profile(cur, tau)
     shifts = {idx: shift_index(idx, j)[0] for idx in src_f | src_g}
     odd = j % 2 == 1
     shifted_d = sorted(shifts[i] for i in (src_g if odd else src_f))

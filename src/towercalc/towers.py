@@ -35,6 +35,14 @@ _Q1 = QQ(1)
 _SIGNS = {1: 1, -1: -1, "+": 1, "-": -1, "+1": 1, "-1": -1}
 
 
+def _require_sign(value) -> int:
+    """A sign field of a decoded document.  true, 1.0 and -1.0 would hash-match
+    the integer keys of _SIGNS, so bool and float are refused before the lookup."""
+    if isinstance(value, (bool, float)) or value not in _SIGNS:
+        raise ValueError(f"sign must be one of +, -, +1, -1, 1, -1; got {value!r}")
+    return _SIGNS[value]
+
+
 # ---------------------------------------------------------------------------
 # indices and coefficients
 # ---------------------------------------------------------------------------
@@ -64,7 +72,7 @@ class TowerIndex:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TowerIndex":
-        return cls(_SIGNS[obj["sign"]],
+        return cls(_require_sign(obj["sign"]),
                    *(require_int(obj[f], f) for f in ("k", "sigma", "m")))
 
     def __str__(self):
@@ -226,16 +234,9 @@ class TowerFamily:
     def degree_of_floor(self, k: int) -> int:
         return homogeneity_degree(self.sign, k, self.sigma, self.n)
 
-    def d_member(self, k: int, m: int):
-        """Floor-k member m (1-based) of the D line, or None when the slot
-        vanishes identically (extreme-rank floor 0)."""
-        return self._member("D", k, m)
-
-    def r_member(self, k: int, m: int):
-        """Floor-k member m (1-based) of the R line; see d_member."""
-        return self._member("R", k, m)
-
-    def _member(self, line: str, k: int, m: int):
+    def member(self, line: str, k: int, m: int):
+        """Floor-k member m (1-based) of line "D" or "R", or None when the
+        slot vanishes identically (extreme-rank floor 0)."""
         if not 0 <= k <= self.floors:
             raise IndexError(f"floor {k} outside 0..{self.floors}")
         lst, rank = ((self.d_floors[k], self.q) if line == "D"
@@ -266,8 +267,8 @@ class TowerFamily:
                 f"floors is {floors} but d_floors/r_floors hold "
                 f"{len(d_floors)}/{len(r_floors)} floors")
         fam = cls(n=require_int(obj["n"], "n"), q=require_int(obj["q"], "q"),
-                  sign=_SIGNS[obj["sign"]], sigma=require_int(obj["sigma"], "sigma"),
-                  floors=floors,
+                  sign=_require_sign(obj["sign"]),
+                  sigma=require_int(obj["sigma"], "sigma"), floors=floors,
                   d_floors=d_floors, r_floors=r_floors)
         for line, rank, stored in (("D", fam.q, d_floors), ("R", fam.q + 1, r_floors)):
             for f in (f for members in stored for f in members):
@@ -451,7 +452,7 @@ class TowerContext:
             raise InvalidRankError("R-line members have rank >= 1")
         fam = self.family(rank if line == "D" else rank - 1, index.sign,
                           index.sigma, index.k)
-        return fam._member(line, index.k, index.m)
+        return fam.member(line, index.k, index.m)
 
     def d_form(self, rank: int, index: TowerIndex):
         """D-line member of the given rank (family rank), or None if absent."""

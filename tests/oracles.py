@@ -12,7 +12,9 @@ route:
                        canonicalization RadialRingElement(n, raw)
   laplacian_by_diff    sum_i of second partials per component, through
                        diff_by_canonicalize
-  r_op_by_wedge        radial_one_form(n).wedge(f), by ring multiplication
+  wedge                exterior product by the component formula, with ring
+                       multiplication of the coefficients
+  r_op_by_wedge        wedge(radial_one_form(n), f)
   t_op_by_product      contraction with the Euler field as sums of el * x_i
 """
 
@@ -145,11 +147,27 @@ def laplacian_by_diff(f: Form) -> Form:
     return Form(f.n, f.q, comps)
 
 
+def wedge(a: Form, b: Form) -> Form:
+    """a wedge b; the zero rank-n form when the ranks add up past n."""
+    if a.n != b.n:
+        raise ValueError("mixed dimensions")
+    if a.q + b.q > a.n:
+        return Form.zero(a.n, a.n)
+    total = Form.zero(a.n, a.q + b.q)
+    for a_idx, a_el in a.components.items():
+        for b_idx, b_el in b.components.items():
+            if set(a_idx) & set(b_idx):
+                continue
+            # sign of sorting a_idx + b_idx: the parity of its inversions
+            inversions = sum(1 for j in b_idx for i in a_idx if i > j)
+            term = Form(a.n, a.q + b.q, {tuple(sorted(a_idx + b_idx)): a_el * b_el})
+            total = total - term if inversions % 2 else total + term
+    return total
+
+
 def r_op_by_wedge(f: Form) -> Form:
     """(sum x_i dx^i) wedge f; the zero rank-n form on rank n."""
-    if f.q == f.n:
-        return Form.zero(f.n, f.n)
-    return radial_one_form(f.n).wedge(f)
+    return wedge(radial_one_form(f.n), f)
 
 
 def t_op_by_product(f: Form) -> Form:

@@ -131,6 +131,23 @@ _FLOOR_2_TAMPERED = dict(_FAMILY_DOC, floors=1, d_floors=_FAMILY_DOC["d_floors"]
 _ZERO_PAIR = MaxwellPair(Form.zero(3, 1), Form.zero(3, 2)).to_obj()
 
 
+def _first_coef(value):
+    """_FAMILY_DOC with its first D-floor coefficient "1" written as value."""
+    doc = json.loads(json.dumps(_FAMILY_DOC))
+    doc["d_floors"][0][0]["components"]["1"][0]["terms"][0]["coef"] = value
+    return doc
+
+
+def _profile_seed(**row):
+    """A profile seed whose one f-row (-,0,0,1) with coeff "2" is edited by row."""
+    return {"kind": "profile_seed", "g_coeffs": [], "f_coeffs": [
+        dict({"sign": "-", "k": 0, "sigma": 0, "m": 1, "coeff": "2"}, **row)]}
+
+
+_ITERATE_SEED = ["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", "1",
+                 "--tau", "10", "--seed", "{path}"]
+
+
 @pytest.mark.parametrize("command,doc", [
     (["verify", "{path}"], []),
     (["verify", "{path}"], {"kind": "tower_family_set", "families": [1]}),
@@ -138,8 +155,7 @@ _ZERO_PAIR = MaxwellPair(Form.zero(3, 1), Form.zero(3, 2)).to_obj()
     (["classify", "--input", "{path}", "--weight", "0"],
      {"n": 3, "q": 1, "components": []}),
     (["expand", "--input", "{path}", "--floors", "2"], _ZERO_DEN_PAIR),
-    (["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", "1",
-      "--tau", "10", "--seed", "{path}"], []),
+    (_ITERATE_SEED, []),
     (["verify", "{path}"], dict(_FAMILY_DOC, floors=4)),
     (["verify", "--no-rebuild", "{path}"], _FLOOR_2_TAMPERED),
     (["verify", "{path}"], dict(_FAMILY_DOC, sign="x")),
@@ -151,13 +167,22 @@ _ZERO_PAIR = MaxwellPair(Form.zero(3, 1), Form.zero(3, 2)).to_obj()
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, floors="2")),
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, n=3.7)),
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, q=True)),
+    (["verify", "--no-rebuild", "{path}"], _first_coef(1.0)),
+    (["verify", "--no-rebuild", "{path}"], _first_coef(True)),
+    (["verify", "--no-rebuild", "{path}"], _first_coef("1.0")),
+    (_ITERATE_SEED, _profile_seed(coeff=0.1)),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, sign=True)),
+    (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, sign=1.0)),
+    (_ITERATE_SEED, _profile_seed(sign=-1.0)),
 ], ids=["verify-list", "verify-bad-family", "classify-list",
         "classify-list-components", "expand-zero-denominator", "iterate-list",
         "verify-floors-beyond-stored", "verify-floors-short-of-stored",
         "verify-unknown-sign", "verify-n-not-stored", "verify-q-not-stored",
         "verify-ghost-flag-not-derived", "expand-floors-0",
         "verify-sigma-not-int", "verify-floors-str", "verify-n-float",
-        "verify-q-bool"])
+        "verify-q-bool", "verify-coef-float", "verify-coef-bool",
+        "verify-coef-decimal-str", "iterate-coeff-float", "verify-sign-bool",
+        "verify-sign-float", "iterate-sign-float"])
 def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

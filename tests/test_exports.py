@@ -1,4 +1,5 @@
-"""Every public name, and every function the benchmark tracer wraps, exists.
+"""Every public name, and every function the benchmark tracer wraps, exists;
+and the package imports nothing outside the standard library.
 
 perfbench/tracer.py patches towercalc functions by name when a benchmark
 runs with --trace 1; a deleted or renamed target would only fail there.
@@ -7,11 +8,15 @@ The tracer module is loaded by path and only its target tables are read.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import towercalc
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -38,3 +43,17 @@ def test_public_and_traced_names_resolve():
     targets += list(tracer.COUNTED.values())
     missing += [f"{mod}:{qual}" for mod, qual in targets if not _resolves(mod, qual)]
     assert missing == []
+
+
+def test_cli_imports_only_the_standard_library():
+    """towercalc has no dependencies and one rational type, fractions.Fraction."""
+    probe = ("import sys; before = set(sys.modules); import towercalc.cli; "
+             "import fractions, towercalc; "
+             "tops = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(tops - set(sys.stdlib_module_names) - {'towercalc'})); "
+             "print(towercalc.QQ is fractions.Fraction)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

@@ -4,10 +4,9 @@ import os
 import pytest
 
 from towercalc.errors import InvalidRankError
-from towercalc.forms import Form, sphere_inner_product
 from towercalc.harmonic import (SeedSpace, clear_cache, harmonic_dimension,
-                                mu, project, seed_basis)
-from towercalc.ring import QQ, qq
+                                mu, seed_basis)
+from towercalc.ring import qq
 
 from oracles import direct_seed_basis
 
@@ -52,7 +51,6 @@ def test_seed_members_are_biclosed_and_homogeneous(q, sigma):
     space = seed_basis(n, q, sigma)           # growing side, degree sigma
     assert space.dim == mu(n, q, sigma)
     for f in space.forms:
-        assert f.is_homogeneous()
         assert f.homogeneous_degree() == sigma
         if q < n:
             assert f.rot().is_zero()
@@ -108,32 +106,6 @@ def test_invalid_rank_rejected():
         seed_basis(3, 4, 1)
     with pytest.raises(InvalidRankError):
         seed_basis(3, -1, 1)
-
-
-def test_project_recovers_coefficients():
-    space = seed_basis(3, 1, 1)
-    combo = Form.zero(3, 1)
-    want = [qq(2), QQ(-1, 3), qq(0), qq(5), QQ(7, 2)]
-    for c, f in zip(want, space.forms):
-        combo = combo + f.scale(c)
-    coeffs, remainder = project(space, combo)
-    assert list(coeffs) == want
-    assert remainder.is_zero()
-
-
-def test_project_reports_remainder():
-    space = seed_basis(3, 1, 1)
-    alien = Form.dx(3, (1,)).mul_element(
-        __import__("towercalc.ring", fromlist=["RadialRingElement"])
-        .RadialRingElement.variable(3, 1))
-    coeffs, remainder = project(space, alien)
-    rebuilt = Form.zero(3, 1)
-    for c, f in zip(coeffs, space.forms):
-        rebuilt = rebuilt + f.scale(c)
-    assert rebuilt + remainder == alien
-    # remainder is orthogonal to the space on the sphere
-    for f in space.forms:
-        assert sphere_inner_product(f, remainder) == 0
 
 
 def test_gram_matrix_is_nonsingular():

@@ -113,7 +113,6 @@ def test_apply_requires_domain_hypotheses():
     # tau must exceed max(0, s - n/2) = 1/2
     with pytest.raises(HypothesisError):
         apply_L_profile(prof, tau=QQ(1, 4))
-    apply_L_profile(prof, tau=QQ(1, 4), validate=False)  # bookkeeping still runs
 
 
 # ---------------------------------------------------------------------------

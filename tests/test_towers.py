@@ -42,7 +42,7 @@ def test_ladder_on_constant_seed_matches_hand_computation():
     assert floors[1] == want1
     x = [R.variable(n, i) for i in range(1, 4)]
     want2 = Form.dx(n, (1,), R.r_power(n, 2).scale(QQ(1, 5))) + \
-        radial_one_form(n).mul_element(x[0]).scale(QQ(-1, 10))
+        Form(n, 1, {(i,): x[0] * x[i - 1] for i in range(1, 4)}).scale(QQ(-1, 10))
     assert floors[2] == want2
     # dual-pairing relations along the chain
     assert floors[1].div() == floors[0]
@@ -158,9 +158,9 @@ def test_family_members_and_context_resolution(ctx3):
     assert f.div().is_zero()
     # the same member resolves identically from a freshly built family
     fam = build_tower_pair(3, 1, 1, 1, floors=2)
-    assert fam.d_member(2, 3) == f
+    assert fam.member("D", 2, 3) == f
     with pytest.raises(IndexError):
-        fam.d_member(2, 6)       # multiplicity is 5
+        fam.member("D", 2, 6)    # multiplicity is 5
 
 
 def test_vanished_slots_resolve_to_none(ctx3):
