@@ -7,19 +7,31 @@ of floors <= K-1 (both signs) plus at most one exceptional bootstrapped
 member per side at height K.  The decomposition is computed degree by degree
 through exact sphere-Gram solves; a nonzero residual means the input was not
 a static pair of the stated height.
+
+The Gram matrix of one degree is block-diagonal.  The members of one
+(sign, k, sigma) block span one copy of an irreducible O(n)-module; the
+sphere pairing is O(n)-invariant and R, T and r^2 are equivariant, so by
+Schur's lemma members of different blocks are orthogonal (+ and - blocks of
+one degree included).  Each degree is therefore solved block by block, with
+the blocks' Grams computed once per TowerContext (TowerContext.block_gram);
+only the right-hand sides <piece, member> are computed per call.  The
+exceptional slot is not one of the candidates: its products with them are
+computed on every call and must be exactly 0, after which it is solved as a
+1x1 block.  tests/oracles.py keeps the full-Gram solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import ConsistencyError
 from .forms import Form, sphere_inner_product
 from .indices import enumerate_excluded, in_weighted_l2, shift_index
-from .linalg import matrix_rank, solve_posdef
+from .linalg import solve_posdef
 from .ring import QQ, qq, qq_str
-from .towers import (ExceptionalFormDescriptor, TowerContext, TowerIndex,
-                     exceptional_form, multiplicity)
+from .towers import (ExceptionalFormDescriptor, TowerContext, checked_gram,
+                     exceptional_form)
 
 _Q0 = QQ(0)
 
@@ -85,19 +97,12 @@ def tower_candidates(ctx: TowerContext, rank: int, line: str, degree: int,
                      k_max: int) -> list:
     """All resolvable (index, member) of one rank/line at one coefficient
     degree with floor <= k_max, in deterministic order."""
-    n = ctx.n
     out = []
     for k in range(k_max + 1):
         for sign in (1, -1):
-            sigma = degree - k if sign > 0 else k - n - degree
-            if sigma < 0:
-                continue
-            count = multiplicity(n, rank, line, sigma, k)
-            for m in range(1, count + 1):
-                idx = TowerIndex(sign, k, sigma, m)
-                f = ctx.member(rank, line, idx)
-                if f is not None and not f.is_zero():
-                    out.append((idx, f))
+            sigma = degree - k if sign > 0 else k - ctx.n - degree
+            if sigma >= 0:
+                out += ctx.block(rank, line, sign, k, sigma)
     return out
 
 
@@ -115,7 +120,9 @@ class SideExpansion:
 def _expand_side(form: Form, rank: int, line: str, k_max: int,
                  ctx: TowerContext,
                  hat: ExceptionalFormDescriptor | None) -> SideExpansion:
-    """Degree-by-degree sphere-Gram expansion of one form."""
+    """Degree-by-degree sphere-Gram expansion of one form, solved block by
+    block; the exceptional slot is checked orthogonal to the tower members
+    and solved as a block of its own."""
     n = ctx.n
     side = SideExpansion(residual=Form.zero(n, form.q))
     hat_form = None
@@ -130,30 +137,29 @@ def _expand_side(form: Form, rank: int, line: str, k_max: int,
     for degree in sorted(degrees):
         piece = pieces.get(degree, Form.zero(n, form.q))
         cands = tower_candidates(ctx, rank, line, degree, k_max)
-        basis = [f for _, f in cands]
-        slots = [idx for idx, _ in cands]
+        blocks = [(ctx.block_gram(rank, line, *key), list(members))
+                  for key, members in groupby(
+                      cands, key=lambda c: (c[0].sign, c[0].k, c[0].sigma))]
         if hat_form is not None and hat_form.homogeneous_degree() == degree:
-            basis.append(hat_form)
-            slots.append("hat")
-        if not basis:
-            side.residual = side.residual + piece
-            continue
-        gram = [[sphere_inner_product(a, b) for b in basis] for a in basis]
-        if matrix_rank(gram) != len(basis):
-            raise ConsistencyError(
-                f"dependent expansion candidates at rank {rank} {line}-line "
-                f"degree {degree}")
-        rhs = [sphere_inner_product(piece, b) for b in basis]
-        sol = solve_posdef(gram, rhs)
+            if any(sphere_inner_product(hat_form, f) for _, f in cands):
+                raise ConsistencyError(
+                    f"exceptional slot not orthogonal to the tower members at "
+                    f"rank {rank} {line}-line degree {degree}")
+            blocks.append((checked_gram([hat_form], rank, line, degree),
+                           [("hat", hat_form)]))
         rem = piece
-        for c, b in zip(sol, basis):
-            if c:
-                rem = rem - b.scale(c)
-        for slot, c in zip(slots, sol):
-            if slot == "hat":
-                side.hat_coeff = c
-            elif c:
-                side.coeffs[slot] = c
+        for gram, members in blocks:
+            rhs = [sphere_inner_product(piece, f) for _, f in members]
+            if not any(rhs):
+                continue
+            for (slot, f), c in zip(members, solve_posdef(gram, rhs)):
+                if not c:
+                    continue
+                rem = rem - f.scale(c)
+                if slot == "hat":
+                    side.hat_coeff = c
+                else:
+                    side.coeffs[slot] = c
         side.residual = side.residual + rem
     side.exact = side.residual.is_zero()
     return side

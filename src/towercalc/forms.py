@@ -237,11 +237,17 @@ class Form:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Form":
+        """Decode a stored form.  Only the encoding to_obj writes is accepted
+        (up to the spelling of each rational, see from_records): a padded
+        component key or a zero component is a ValueError."""
         n, q = require_int(obj["n"], "n"), require_int(obj["q"], "q")
         comps = {}
-        for key, recs in obj.get("components", {}).items():
+        for key, recs in obj["components"].items():
             idx = tuple(int(s) for s in key.split(",")) if key else ()
-            comps[idx] = RadialRingElement.from_records(n, recs)
+            el = RadialRingElement.from_records(n, recs)
+            if key != ",".join(map(str, idx)) or el.is_zero():
+                raise ValueError(f"component {key!r} is not in the canonical encoding")
+            comps[idx] = el
         return cls(n, q, comps)
 
     def __str__(self):
@@ -327,6 +333,16 @@ def sphere_inner_product(a: Form, b: Form) -> QQ:
                 prod[g] = prod.get(g, _Q0) + ca * cb
         total += poly_sphere_average(prod, a.n)
     return total
+
+
+def sphere_gram(forms: list) -> list:
+    """Matrix of sphere_inner_product over forms.  The pairing is symmetric,
+    so each off-diagonal entry is computed once."""
+    gram = [[_Q0] * len(forms) for _ in forms]
+    for i, a in enumerate(forms):
+        for j in range(i, len(forms)):
+            gram[i][j] = gram[j][i] = sphere_inner_product(a, forms[j])
+    return gram
 
 
 # ---------------------------------------------------------------------------

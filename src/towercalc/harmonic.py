@@ -24,8 +24,7 @@ from math import comb
 
 from .errors import (DECODE_ERRORS, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension)
-from .forms import Form, R_op, T_op, coordinate_vectors, radial_one_form, \
-    sphere_inner_product
+from .forms import Form, R_op, T_op, coordinate_vectors, radial_one_form
 from .linalg import nullspace, rref
 from .ring import QQ, RadialRingElement, monomials
 
@@ -112,10 +111,6 @@ class SeedSpace:
     @property
     def dim(self) -> int:
         return len(self.forms)
-
-    def gram(self) -> list:
-        g = [[sphere_inner_product(a, b) for b in self.forms] for a in self.forms]
-        return g
 
     def to_obj(self) -> dict:
         return {"schema": "towercalc/1", "kind": "seed_space", "n": self.n,

@@ -406,30 +406,41 @@ class RadialRingElement:
 
     # -- serialization -------------------------------------------------------
 
+    def _record_items(self) -> list:
+        """[((degree, r_exp), [(alpha, coef), ...]), ...] in the order
+        to_records writes them: parts sorted, terms by descending grlex."""
+        return [(key, sorted(self.parts[key].items(), key=lambda kv: grlex_key(kv[0]),
+                             reverse=True))
+                for key in sorted(self.parts)]
+
     def to_records(self) -> list:
-        recs = []
-        for (d, b) in sorted(self.parts):
-            terms = [{"alpha": list(alpha), "coef": qq_str(c)}
-                     for alpha, c in sorted(self.parts[(d, b)].items(),
-                                            key=lambda kv: grlex_key(kv[0]),
-                                            reverse=True)]
-            recs.append({"degree": d, "r_exp": b, "terms": terms})
-        return recs
+        return [{"degree": d, "r_exp": b,
+                 "terms": [{"alpha": list(alpha), "coef": qq_str(c)} for alpha, c in terms]}
+                for (d, b), terms in self._record_items()]
 
     @classmethod
     def from_records(cls, n: int, recs: list) -> "RadialRingElement":
+        """Decode records.  Only the encoding to_records writes is accepted, up
+        to how each rational is spelled ("3/3" reads as 1): a term split in
+        two, a zero term or a reducible monomial is a ValueError."""
         raw: dict = {}
+        read = []
         for rec in recs:
-            d = require_int(rec["degree"], "degree")
-            b = require_int(rec["r_exp"], "r_exp")
-            poly = raw.setdefault((d, b), {})
+            key = (require_int(rec["degree"], "degree"), require_int(rec["r_exp"], "r_exp"))
+            poly = raw.setdefault(key, {})
+            terms = []
             for t in rec["terms"]:
                 alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
                 if len(alpha) != n:
                     raise ValueError("exponent tuple length != n")
                 c = require_rational(t["coef"], "coef")
                 poly[alpha] = poly.get(alpha, _Q0) + c
-        return cls(n, raw)
+                terms.append((alpha, c))
+            read.append((key, terms))
+        el = cls(n, raw)
+        if el._record_items() != read:
+            raise ValueError("stored ring element is not in the canonical encoding")
+        return el
 
     # -- display -------------------------------------------------------------
 

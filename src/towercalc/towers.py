@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (ConsistencyError, InvalidRankError, require_int,
                      require_odd_dimension)
-from .forms import Form, R_op, T_op, sphere_inner_product
+from .forms import Form, R_op, T_op, sphere_gram
 from .harmonic import mu, seed_basis
 from .linalg import matrix_rank
 from .ring import QQ, qq, qq_str
@@ -386,8 +386,7 @@ def verify_family(fam: TowerFamily, rebuild: bool = True,
                     f"{line}_{k}: {len(members)} members, expected {want_count}")
             # per-floor linear independence (sphere Gram rank)
             if independence and len(members) > 1:
-                gram = [[sphere_inner_product(a, b) for b in members] for a in members]
-                if matrix_rank(gram) != len(members):
+                if matrix_rank(sphere_gram(members)) != len(members):
                     bad["floor-independence"].append(f"{line}_{k} members dependent")
             elif independence and len(members) == 1 and members[0].is_zero():
                 bad["floor-independence"].append(f"{line}_{k} zero member stored")
@@ -429,6 +428,17 @@ def verify_low_floor_harmonicity(fam: TowerFamily) -> dict:
 # context: cached family access by index
 # ---------------------------------------------------------------------------
 
+def checked_gram(forms: list, rank: int, line: str, degree: int) -> list:
+    """sphere_gram(forms) of expansion candidates; a singular one means the
+    candidates are dependent, which is a ConsistencyError."""
+    gram = sphere_gram(forms)
+    if matrix_rank(gram) != len(forms):
+        raise ConsistencyError(
+            f"dependent expansion candidates at rank {rank} {line}-line "
+            f"degree {degree}")
+    return gram
+
+
 class TowerContext:
     """Caches built families and resolves TowerIndex lookups per rank/line."""
 
@@ -436,6 +446,7 @@ class TowerContext:
         require_odd_dimension(n)
         self.n = n
         self._families: dict = {}
+        self._block_grams: dict = {}
 
     def family(self, q: int, sign: int, sigma: int, floors: int) -> TowerFamily:
         key = (q, sign, sigma)
@@ -453,6 +464,29 @@ class TowerContext:
         fam = self.family(rank if line == "D" else rank - 1, index.sign,
                           index.sigma, index.k)
         return fam.member(line, index.k, index.m)
+
+    def block(self, rank: int, line: str, sign: int, k: int, sigma: int) -> list:
+        """The present, nonzero members (index, form) of one (sign, k, sigma)
+        block of a rank/line, in m order."""
+        out = []
+        for m in range(1, multiplicity(self.n, rank, line, sigma, k) + 1):
+            idx = TowerIndex(sign, k, sigma, m)
+            f = self.member(rank, line, idx)
+            if f is not None and not f.is_zero():
+                out.append((idx, f))
+        return out
+
+    def block_gram(self, rank: int, line: str, sign: int, k: int, sigma: int) -> list:
+        """checked_gram of block(rank, line, sign, k, sigma), computed on first
+        use.  A family rebuilt with more floors keeps its lower floors, so a
+        cached block stays valid for the life of the context."""
+        key = (rank, line, sign, k, sigma)
+        gram = self._block_grams.get(key)
+        if gram is None:
+            gram = checked_gram([f for _, f in self.block(*key)], rank, line,
+                                homogeneity_degree(sign, k, sigma, self.n))
+            self._block_grams[key] = gram
+        return gram
 
     def d_form(self, rank: int, index: TowerIndex):
         """D-line member of the given rank (family rank), or None if absent."""

@@ -16,15 +16,22 @@ route:
                        multiplication of the coefficients
   r_op_by_wedge        wedge(radial_one_form(n), f)
   t_op_by_product      contraction with the Euler field as sums of el * x_i
+  expand_side_full_gram  one side of an expansion through the full Gram of all
+                       candidates at each degree, cross-block entries included
 """
 
 import itertools
 
-from towercalc.errors import InvalidRankError, require_odd_dimension
-from towercalc.forms import Form, radial_one_form
+from towercalc.errors import (ConsistencyError, InvalidRankError,
+                              require_odd_dimension)
+from towercalc.expansion import SideExpansion, tower_candidates
+from towercalc.forms import Form, radial_one_form, sphere_inner_product
 from towercalc.harmonic import kernel_of_operators
+from towercalc.linalg import matrix_rank, solve_posdef
 from towercalc.ring import QQ, RadialRingElement, reduced_monomials
+from towercalc.towers import ExceptionalFormDescriptor, TowerContext
 
+_Q0 = QQ(0)
 _Q1 = QQ(1)
 
 
@@ -181,3 +188,51 @@ def t_op_by_product(f: Form) -> Form:
                 idx[:t] + idx[t + 1:]: el * RadialRingElement.variable(f.n, i)})
             total = total - term if t % 2 else total + term
     return total
+
+
+def expand_side_full_gram(form: Form, rank: int, line: str, k_max: int,
+                          ctx: TowerContext,
+                          hat: ExceptionalFormDescriptor | None) -> SideExpansion:
+    """Degree-by-degree sphere-Gram expansion of one form, solving the full
+    Gram of all candidates and the exceptional slot at each degree."""
+    n = ctx.n
+    side = SideExpansion(residual=Form.zero(n, form.q))
+    hat_form = None
+    if hat is not None and not hat.is_zero:
+        hat_form = hat.resolve(ctx)
+        side.hat_descriptor = hat
+        side.hat_coeff = _Q0
+    degrees = set(form.coefficient_degrees())
+    if hat_form is not None:
+        degrees.add(hat_form.homogeneous_degree())
+    pieces = form.homogeneity_split()
+    for degree in sorted(degrees):
+        piece = pieces.get(degree, Form.zero(n, form.q))
+        cands = tower_candidates(ctx, rank, line, degree, k_max)
+        basis = [f for _, f in cands]
+        slots = [idx for idx, _ in cands]
+        if hat_form is not None and hat_form.homogeneous_degree() == degree:
+            basis.append(hat_form)
+            slots.append("hat")
+        if not basis:
+            side.residual = side.residual + piece
+            continue
+        gram = [[sphere_inner_product(a, b) for b in basis] for a in basis]
+        if matrix_rank(gram) != len(basis):
+            raise ConsistencyError(
+                f"dependent expansion candidates at rank {rank} {line}-line "
+                f"degree {degree}")
+        rhs = [sphere_inner_product(piece, b) for b in basis]
+        sol = solve_posdef(gram, rhs)
+        rem = piece
+        for c, b in zip(sol, basis):
+            if c:
+                rem = rem - b.scale(c)
+        for slot, c in zip(slots, sol):
+            if slot == "hat":
+                side.hat_coeff = c
+            elif c:
+                side.coeffs[slot] = c
+        side.residual = side.residual + rem
+    side.exact = side.residual.is_zero()
+    return side

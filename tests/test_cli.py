@@ -138,6 +138,28 @@ def _first_coef(value):
     return doc
 
 
+def _first_form(edit):
+    """_FAMILY_DOC with edit applied to the components of its first D-floor form."""
+    doc = json.loads(json.dumps(_FAMILY_DOC))
+    edit(doc["d_floors"][0][0]["components"])
+    return doc
+
+
+def _pad_key(comps):
+    comps[" 01"] = comps.pop("1")
+
+
+def _split_term(comps):
+    terms = comps["1"][0]["terms"]
+    half = dict(terms[0], coef="1/2")
+    terms[0:1] = [half, dict(half)]
+
+
+def _zero_term(comps):
+    comps["1"].append({"degree": 1, "r_exp": 0,
+                       "terms": [{"alpha": [0, 1, 0], "coef": "0"}]})
+
+
 def _profile_seed(**row):
     """A profile seed whose one f-row (-,0,0,1) with coeff "2" is edited by row."""
     return {"kind": "profile_seed", "g_coeffs": [], "f_coeffs": [
@@ -174,6 +196,9 @@ _ITERATE_SEED = ["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", 
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, sign=True)),
     (["verify", "--no-rebuild", "{path}"], dict(_FAMILY_DOC, sign=1.0)),
     (_ITERATE_SEED, _profile_seed(sign=-1.0)),
+    (["verify", "--no-rebuild", "{path}"], _first_form(_pad_key)),
+    (["verify", "--no-rebuild", "{path}"], _first_form(_split_term)),
+    (["verify", "--no-rebuild", "{path}"], _first_form(_zero_term)),
 ], ids=["verify-list", "verify-bad-family", "classify-list",
         "classify-list-components", "expand-zero-denominator", "iterate-list",
         "verify-floors-beyond-stored", "verify-floors-short-of-stored",
@@ -182,7 +207,8 @@ _ITERATE_SEED = ["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", 
         "verify-sigma-not-int", "verify-floors-str", "verify-n-float",
         "verify-q-bool", "verify-coef-float", "verify-coef-bool",
         "verify-coef-decimal-str", "iterate-coeff-float", "verify-sign-bool",
-        "verify-sign-float", "iterate-sign-float"])
+        "verify-sign-float", "iterate-sign-float", "verify-key-not-canonical",
+        "verify-split-term", "verify-zero-term"])
 def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

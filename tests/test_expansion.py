@@ -1,17 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from towercalc.errors import ConsistencyError
-from towercalc.expansion import (ExpansionResult, MaxwellPair, expand,
-                                 expansion_commutes_with_maxwell,
+from towercalc.expansion import (ExpansionResult, MaxwellPair, _expand_side,
+                                 expand, expansion_commutes_with_maxwell,
                                  iterated_maxwell_check, lemma34_classify,
                                  maxwell_map, membership_filter,
                                  tower_candidates)
-from towercalc.forms import Form
+from towercalc.forms import Form, sphere_gram, sphere_inner_product
 from towercalc.indices import in_weighted_l2
-from towercalc.ring import QQ, qq
-from towercalc.towers import TowerIndex
+from towercalc.ring import QQ, RadialRingElement, qq
+from towercalc.towers import (TowerContext, TowerIndex, checked_gram,
+                              exceptional_form)
+
+from oracles import expand_side_full_gram
 
 
 def make_pair(ctx, q, parts):
@@ -258,3 +262,138 @@ def test_classify_unclassified_branch(ctx3):
     out = lemma34_classify(f, qq(4), ctx3)
     assert out["class"] == "unclassified"
     assert not out["rot_integrable"] and not out["div_integrable"]
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal Gram: structure, cache lifetime, and the full-Gram oracle
+# ---------------------------------------------------------------------------
+
+# (n, k_max, sigma_max): every degree whose candidates all have sigma <= sigma_max
+_BLOCK_GRID = [(3, 3, 3), (5, 2, 1)]
+
+
+def _lines(n):
+    return [("D", rank) for rank in range(n)] + [("R", rank) for rank in range(1, n + 1)]
+
+
+def _block_key(idx):
+    return idx.sign, idx.k, idx.sigma
+
+
+def _degrees(n, k_max, sigma_max):
+    """Growing degrees d <= sigma_max have sigma = d - k <= sigma_max, and
+    decaying ones d >= k_max - n - sigma_max have sigma = k - n - d <= sigma_max."""
+    return range(k_max - n - sigma_max, sigma_max + 1)
+
+
+@pytest.mark.parametrize("n,k_max,sigma_max", _BLOCK_GRID)
+def test_cross_block_gram_entries_vanish(ctx3, ctx5, n, k_max, sigma_max):
+    """Members of different (sign, k, sigma) blocks, and the exceptional slots
+    against the members of their degree, are orthogonal on the sphere."""
+    ctx = ctx3 if n == 3 else ctx5
+    for line, rank in _lines(n):
+        for degree in _degrees(n, k_max, sigma_max):
+            cands = tower_candidates(ctx, rank, line, degree, k_max)
+            assert all(idx.sigma <= sigma_max for idx, _ in cands)
+            for i, (a_idx, a) in enumerate(cands):
+                for b_idx, b in cands[i + 1:]:
+                    if _block_key(a_idx) != _block_key(b_idx):
+                        assert sphere_inner_product(a, b) == 0, (rank, line, a_idx, b_idx)
+        kind = "D_hat" if line == "D" else "R_hat"
+        for K in range(1, 5):
+            hat = exceptional_form(kind, n, rank, K)
+            if hat.is_zero:
+                continue
+            hat_form = hat.resolve(ctx)
+            cands = tower_candidates(ctx, rank, line, hat_form.homogeneous_degree(),
+                                     min(K - 1, k_max))
+            for idx, f in cands:
+                assert sphere_inner_product(hat_form, f) == 0, (kind, rank, K, idx)
+
+
+def test_block_grams_are_cached_per_context_and_survive_rebuilds(ctx3):
+    ctx = TowerContext(3)
+    parts = [("e", TowerIndex(1, 1, 1, 2), "3/7"), ("e", TowerIndex(-1, 2, 0, 1), "2"),
+             ("h", TowerIndex(1, 2, 0, 1), "-5")]
+    pair = make_pair(ctx, 1, parts)
+    first = expand(pair, 3, ctx)
+    key = (1, "D", 1, 1, 1)
+    gram = ctx.block_gram(*key)
+    assert ctx.block_gram(*key) is gram
+    old_floors = ctx.family(1, 1, 1, 1).floors
+    rebuilt = ctx.family(1, 1, 1, old_floors + 2)
+    assert rebuilt.floors == old_floors + 2
+    assert ctx.block_gram(*key) is gram
+    assert sphere_gram([f for _, f in ctx.block(*key)]) == gram
+    again = expand(pair, 3, ctx)
+    assert again.to_obj() == first.to_obj()
+    for a, b in ((first.e_side, again.e_side), (first.h_side, again.h_side)):
+        assert (a.coeffs, a.hat_coeff, a.residual, a.exact) == \
+            (b.coeffs, b.hat_coeff, b.residual, b.exact)
+    other = TowerContext(3)
+    assert other.block_gram(*key) == gram
+    assert other.block_gram(*key) is not gram
+    assert ctx3.block_gram(*key) is not gram
+
+
+def _outside_form(n, rank, degree, draw):
+    """c * x^alpha * r^(degree - |alpha|) dx^I for a drawn I, alpha and c."""
+    idx = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=rank, max_size=rank))))
+    alpha = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+    el = RadialRingElement.from_poly(n, {alpha: c}) * \
+        RadialRingElement.r_power(n, degree - sum(alpha))
+    return Form.dx(n, idx, el)
+
+
+@given(data=st.data())
+def test_block_solve_matches_full_gram_oracle(ctx3, ctx5, data):
+    """Block-by-block solves give the full-Gram answer: exact coefficients for
+    member mixtures, and the same projection when a form outside the tower
+    span is mixed in."""
+    draw = data.draw
+    n, k_max_bound, sigma_max = draw(st.sampled_from(_BLOCK_GRID))
+    ctx = ctx3 if n == 3 else ctx5
+    line, rank = draw(st.sampled_from(_lines(n)))
+    k_max = draw(st.integers(0, k_max_bound))
+    kind = "D_hat" if line == "D" else "R_hat"
+    hat = exceptional_form(kind, n, rank, k_max + 1)
+    degrees = draw(st.lists(st.sampled_from(_degrees(n, k_max, sigma_max)),
+                            min_size=1, max_size=3, unique=True))
+    coef = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    form = Form.zero(n, rank)
+    for degree in degrees:
+        for _, f in tower_candidates(ctx, rank, line, degree, k_max):
+            if draw(st.booleans()):
+                form = form + f.scale(draw(coef))
+    if not hat.is_zero and draw(st.booleans()):
+        form = form + hat.resolve(ctx).scale(draw(coef))
+    if draw(st.booleans()):
+        form = form + _outside_form(n, rank, draw(st.sampled_from(degrees)), draw)
+    got = _expand_side(form, rank, line, k_max, ctx, hat)
+    want = expand_side_full_gram(form, rank, line, k_max, ctx, hat)
+    assert got.coeffs == want.coeffs
+    assert got.hat_descriptor == want.hat_descriptor
+    assert got.hat_coeff == want.hat_coeff
+    assert got.residual == want.residual
+    assert got.exact == want.exact
+
+
+class _Slot:
+    """An exceptional-slot stand-in that resolves to a given form."""
+
+    is_zero = False
+
+    def __init__(self, form):
+        self.form = form
+
+    def resolve(self, ctx):
+        return self.form
+
+
+def test_orthogonality_and_rank_failures_are_consistency_errors(ctx3):
+    _, member = tower_candidates(ctx3, 1, "D", 1, 1)[0]
+    with pytest.raises(ConsistencyError, match="not orthogonal"):
+        _expand_side(member, 1, "D", 1, ctx3, _Slot(member.scale(qq(2))))
+    with pytest.raises(ConsistencyError, match="dependent expansion candidates"):
+        checked_gram([member, member.scale(qq(2))], 1, "D", 1)

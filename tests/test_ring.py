@@ -176,6 +176,21 @@ def test_serialization_round_trip(a):
     assert R.from_records(3, a.to_records()) == a
 
 
+def test_only_the_written_records_decode():
+    el = R.variable(3, 2) + R.from_rational(3, "1/3")
+    recs = el.to_records()
+    respelled = [dict(rec, terms=[dict(t, coef=t["coef"].replace("1/3", "3/9"))
+                                  for t in rec["terms"]]) for rec in recs]
+    assert R.from_records(3, respelled) == el
+    x1_squared = [{"degree": 2, "r_exp": 0, "terms": [{"alpha": [2, 0, 0], "coef": "1"}]}]
+    split = [dict(recs[0], terms=recs[0]["terms"] * 2)]
+    zero = recs + [{"degree": 3, "r_exp": 0, "terms": [{"alpha": [0, 3, 0], "coef": "0"}]}]
+    shuffled = recs[::-1]
+    for bad in (x1_squared, split, zero, shuffled):
+        with pytest.raises(ValueError, match="canonical encoding"):
+            R.from_records(3, bad)
+
+
 def test_invalid_part_degree_rejected():
     with pytest.raises(ValueError):
         RadialRingElement(3, {(5, 0): {(1, 0, 0): qq(1)}})
