@@ -10,8 +10,8 @@ whole-space solution operator with its power profiles.
 from .ring import QQ, qq, qq_str, RadialRingElement, monomials, reduced_monomials
 from .errors import (ConsistencyError, HypothesisError, InvalidRankError,
                      require_odd_dimension)
-from .forms import (Form, GradeError, R_op, T_op, radial_one_form,
-                    monomial_average, poly_sphere_average, sphere_inner_product)
+from .forms import (Form, GradeError, R_op, T_op, monomial_average,
+                    poly_sphere_average, sphere_inner_product)
 from .harmonic import (SeedSpace, seed_basis, mu, harmonic_dimension,
                        clear_cache)
 from .towers import (TowerIndex, TowerFamily, TowerContext,
@@ -37,7 +37,7 @@ __all__ = [
     "QQ", "qq", "qq_str", "RadialRingElement", "monomials", "reduced_monomials",
     "ConsistencyError", "HypothesisError", "InvalidRankError",
     "require_odd_dimension",
-    "Form", "GradeError", "R_op", "T_op", "radial_one_form",
+    "Form", "GradeError", "R_op", "T_op",
     "monomial_average", "poly_sphere_average", "sphere_inner_product",
     "SeedSpace", "seed_basis", "mu", "harmonic_dimension", "clear_cache",
     "TowerIndex", "TowerFamily", "TowerContext", "ExceptionalFormDescriptor",

@@ -24,7 +24,7 @@ from .indices import (enumerate_excluded, exceptional_weights,
 from .ring import qq, qq_str, require_rational
 from .static_op import TowerProfile, apply_L_power, apply_L_profile
 from .towers import (TowerContext, TowerFamily, TowerIndex, build_tower_pair,
-                     verify_family, verify_low_floor_harmonicity)
+                     multiplicity, verify_family, verify_low_floor_harmonicity)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -204,8 +204,8 @@ def cmd_weights(args) -> int:
 def cmd_iterate(args) -> int:
     s = qq_str_to_q(args.weight)
     tau = None if args.tau is None else qq_str_to_q(args.tau)
-    f_coeffs, g_coeffs = (_decode(args.seed, _profile_seed_from_obj)
-                          if args.seed else ({}, {}))
+    f_coeffs, g_coeffs = _decode(args.seed, lambda obj: _profile_seed_from_obj(
+        obj, args.n, args.q)) if args.seed else ({}, {})
     try:
         profile = TowerProfile(n=args.n, q=args.q, s=s,
                                f_coeffs=f_coeffs, g_coeffs=g_coeffs)
@@ -223,11 +223,23 @@ def cmd_iterate(args) -> int:
     return EXIT_OK
 
 
-def _profile_seed_from_obj(obj) -> tuple:
-    """(f_coeffs, g_coeffs) index -> coefficient maps of a profile seed."""
-    return tuple({TowerIndex.from_obj(row): require_rational(row["coeff"], "coeff")
-                  for row in obj.get(key, [])}
-                 for key in ("f_coeffs", "g_coeffs"))
+def _profile_seed_from_obj(obj, n: int, q: int) -> tuple:
+    """(f_coeffs, g_coeffs) index -> coefficient maps of a profile seed.  The
+    f rows name rank-q D-line members and the g rows rank-(q+1) R-line
+    members; a repeated index or a member m past its floor's multiplicity
+    is refused."""
+    maps = []
+    for key, rank, line in (("f_coeffs", q, "D"), ("g_coeffs", q + 1, "R")):
+        coeffs = {}
+        for row in obj.get(key, []):
+            idx = TowerIndex.from_obj(row)
+            if idx in coeffs:
+                raise ValueError(f"{key} lists index {idx} twice")
+            if idx.m > multiplicity(n, rank, line, idx.sigma, idx.k):
+                raise ValueError(f"{key} index {idx}: m exceeds the floor's multiplicity")
+            coeffs[idx] = require_rational(row["coeff"], "coeff")
+        maps.append(coeffs)
+    return tuple(maps)
 
 
 def cmd_dims(args) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_int
 from .forms import Form, sphere_inner_product
 from .indices import enumerate_excluded, in_weighted_l2, shift_index
 from .linalg import solve_posdef
@@ -64,7 +64,13 @@ class MaxwellPair:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MaxwellPair":
-        return cls(Form.from_obj(obj["e"]), Form.from_obj(obj["h"]))
+        """Decode a stored pair; its kind must be maxwell_pair and its n, q
+        those of the stored forms."""
+        pair = cls(Form.from_obj(obj["e"]), Form.from_obj(obj["h"]))
+        if obj.get("kind") != "maxwell_pair" or \
+                (require_int(obj["n"], "n"), require_int(obj["q"], "q")) != (pair.n, pair.q):
+            raise ValueError("the maxwell_pair header disagrees with its forms")
+        return pair
 
 
 def maxwell_map(pair: MaxwellPair) -> MaxwellPair:

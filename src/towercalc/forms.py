@@ -263,17 +263,6 @@ class Form:
         return f"<Form n={self.n} q={self.q} {len(self.components)} comps>"
 
 
-_RADIAL_CACHE: dict = {}
-
-
-def radial_one_form(n: int) -> Form:
-    """The 1-form sum x_i dx^i."""
-    if n not in _RADIAL_CACHE:
-        _RADIAL_CACHE[n] = Form(n, 1, {
-            (i,): RadialRingElement.variable(n, i) for i in range(1, n + 1)})
-    return _RADIAL_CACHE[n]
-
-
 def R_op(form: Form) -> Form:
     return form.radial_wedge()
 

@@ -3,9 +3,11 @@
 A *seed* is a form that is simultaneously rot-closed and div-closed (with the
 grade-underflow/overflow convention that the missing condition at rank 0 / n
 is vacuous).  Seeds of coefficient degree sigma >= 0 have polynomial
-coefficients; the matching decaying seeds live at degree -sigma-n.  Between
-those two ranges the only nonzero spaces sit at degree 1-n, ranks 1 and n-1,
-each one-dimensional (the inverse-power radial form and its Hodge dual).
+coefficients; the matching decaying seeds live at degree -sigma-n and are
+their Kelvin images.  Between those two ranges the only nonzero spaces sit at
+degree 1-n, ranks 1 and n-1, each one-dimensional (the inverse-power radial
+form and its Hodge dual).  Dimensions come from the closed form mu; only the
+polynomial seeds are found by a kernel solve.
 
 Bases are canonical: the reduced-row-echelon basis of the solution space in
 the fixed coordinate order of forms.coordinate_vectors, so any solver that
@@ -20,11 +22,11 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 from .errors import (DECODE_ERRORS, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension)
-from .forms import Form, R_op, T_op, coordinate_vectors, radial_one_form
+from .forms import Form, R_op, T_op, coordinate_vectors
 from .linalg import nullspace, rref
 from .ring import QQ, RadialRingElement, monomials
 
@@ -129,21 +131,30 @@ _CACHE_LOCK = threading.Lock()
 
 
 def _disk_cache_path(n: int, q: int, degree: int):
+    """Where the space is cached on disk, if anywhere.  Only the polynomial
+    spaces, which take a kernel solve, are: the others are cheaper to build
+    from them than to load and check."""
     root = os.environ.get("TOWERCALC_CACHE")
-    if not root:
+    if not root or degree < 0:
         return None
     return os.path.join(root, f"seeds_n{n}_q{q}_h{degree}.json")
 
 
-def _load_cached(path: str, key: tuple):
+def _load_cached(path: str, key: tuple, dim: int):
     """The seed space stored at path, or None when the file does not parse
-    or does not hold the (n, q, degree) space of its key."""
+    or does not hold the canonical basis of the (n, q, degree) space of its
+    key: dim bi-closed forms of that shape, in reduced row-echelon form."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
         space = SeedSpace.from_obj(obj)
-        ok = obj["kind"] == "seed_space" and (space.n, space.q, space.degree) == key \
-            and all((f.n, f.q, f.homogeneous_degree()) == key for f in space.forms)
+        forms = space.forms
+        ok = (obj["kind"] == "seed_space" and (space.n, space.q, space.degree) == key
+              and len(forms) == dim
+              and all((f.n, f.q, f.homogeneous_degree()) == key for f in forms)
+              and all(op(f).is_zero() for op in _biclosed_operators(*key[:2])
+                      for f in forms)
+              and tuple(echelon_normalize(forms)) == forms)
     except (OSError, *DECODE_ERRORS):
         return None
     return space if ok else None
@@ -154,57 +165,49 @@ def clear_cache() -> None:
         _CACHE.clear()
 
 
-def _polynomial_candidates(n: int, q: int, degree: int) -> list:
-    tuples = list(itertools.combinations(range(1, n + 1), q))
-    cands = []
-    for idx in tuples:
-        for alpha in monomials(n, degree):
-            cands.append(Form(n, q, {idx: RadialRingElement.from_poly(n, {alpha: 1})}))
-    return cands
-
-
 def _solve_polynomial(n: int, q: int, degree: int) -> list:
-    return kernel_of_operators(_polynomial_candidates(n, q, degree),
-                               _biclosed_operators(n, q))
+    """Seeds at degree >= 0: the kernel over all monomial rank-q forms."""
+    cands = [Form(n, q, {idx: RadialRingElement.from_poly(n, {alpha: 1})})
+             for idx in itertools.combinations(range(1, n + 1), q)
+             for alpha in monomials(n, degree)]
+    return kernel_of_operators(cands, _biclosed_operators(n, q))
 
 
 def _solve_decaying(n: int, q: int, sigma: int) -> list:
-    """Seeds at degree -sigma-n for 1 <= q <= n-1.
+    """Seeds at degree -sigma-n for 1 <= q <= n-1: the Kelvin images
 
-    Candidates: inverse-power partners r^b X and r^(b-2) R T X of the
-    polynomial seeds X at degree sigma (the span is closed under the radial
-    ladder, so the decaying seeds must lie inside it).  The kernel dimension
-    must match the polynomial side; anything else is an internal error.
+        X -> r^b X + b/(sigma+q) r^(b-2) R_op(T_op(X)),   b = -(2 sigma + n),
+
+    of the polynomial seeds X at degree sigma.  rot(r^b F) = r^b rot F +
+    b r^(b-2) R_op(F), rot R_op = -R_op rot and rot T_op(X) = (sigma+q) X
+    make the image's rot (b - b) r^(b-2) R_op(X); its div is likewise
+    (b - b) r^(b-2) T_op(X).  The map is injective, so the images span the
+    decaying space.
     """
-    plus = seed_basis(n, q, sigma)
-    if plus.dim == 0:
-        return []
     b = -2 * sigma - n
-    cands = []
-    for x in plus.forms:
-        cands.append(x.mul_r_power(b))
-        rt = R_op(T_op(x))
-        if not rt.is_zero():
-            cands.append(rt.mul_r_power(b - 2))
-    kernel = kernel_of_operators(cands, _biclosed_operators(n, q))
-    if len(kernel) != plus.dim:
-        raise ConsistencyError(
-            f"decaying seed space at n={n} q={q} degree={-sigma - n}: "
-            f"found dim {len(kernel)}, expected {plus.dim}")
-    return kernel
+    c = QQ(b, sigma + q)
+    return echelon_normalize([x.mul_r_power(b) + R_op(T_op(x)).mul_r_power(b - 2).scale(c)
+                              for x in seed_basis(n, q, sigma).forms])
 
 
-def _inverse_radial_ghost(n: int) -> Form:
-    """The bi-closed rank-1 form r^-n sum x_i dx^i (degree 1-n)."""
-    return radial_one_form(n).mul_r_power(-n)
+def _dimension(n: int, q: int, degree: int) -> int:
+    """dim of the seed space at (n, q, degree): mu of the growing degree on
+    both sides, 1 at the two inverse-power slots, 0 elsewhere."""
+    if degree >= 0:
+        return mu(n, q, degree)
+    if degree <= -n:
+        return mu(n, q, -degree - n) if 1 <= q <= n - 1 else 0
+    return 1 if degree == 1 - n and q in (1, n - 1) else 0
 
 
 def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
     """Canonical basis of bi-closed homogeneous rank-q forms of one degree.
 
     The solve dispatches on the degree: a polynomial kernel for
-    degree >= 0, the radial-partner kernel for degree <= -n, explicit forms
-    at the two inverse-power slots, and the empty space otherwise.
+    degree >= 0, the Kelvin images of the polynomial seeds for degree <= -n,
+    R_op(r^-n) at rank 1 and T_op(r^-n dx^1..n) at rank n-1 for degree 1-n,
+    and the empty space where _dimension is 0.  A basis of any other size
+    than _dimension is a ConsistencyError.
     """
     require_odd_dimension(n)
     if not 0 <= q <= n:
@@ -214,9 +217,10 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
     with _CACHE_LOCK:
         if key in _CACHE:
             return _CACHE[key]
+    dim = _dimension(n, q, degree)
     path = _disk_cache_path(n, q, degree)
     if path and os.path.exists(path):
-        space = _load_cached(path, key)
+        space = _load_cached(path, key, dim)
         if space is not None:
             with _CACHE_LOCK:
                 _CACHE[key] = space
@@ -226,14 +230,17 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
 
     if degree >= 0:
         forms = _solve_polynomial(n, q, degree)
-    elif degree <= -n and 1 <= q <= n - 1:
-        forms = _solve_decaying(n, q, -degree - n)
-    elif degree == 1 - n and q == 1:
-        forms = echelon_normalize([_inverse_radial_ghost(n)])
-    elif degree == 1 - n and q == n - 1:
-        forms = echelon_normalize([_inverse_radial_ghost(n).hodge_star()])
-    else:
+    elif not dim:
         forms = []
+    elif degree <= -n:
+        forms = _solve_decaying(n, q, -degree - n)
+    else:
+        ghost = RadialRingElement.r_power(n, -n)
+        forms = echelon_normalize([R_op(Form.from_scalar(ghost)) if q == 1
+                                   else T_op(Form.dx(n, range(1, n + 1), ghost))])
+    if len(forms) != dim:
+        raise ConsistencyError(f"seed space at n={n} q={q} degree={degree}: "
+                               f"found dim {len(forms)}, expected {dim}")
     space = SeedSpace(n, q, degree, tuple(forms))
 
     with _CACHE_LOCK:
@@ -248,15 +255,23 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
 
 
 def mu(n: int, q: int, sigma: int) -> int:
-    """Seed multiplicity: dim of the polynomial seed space at degree sigma.
+    """Seed multiplicity: dim of the polynomial seed space at degree sigma >= 0,
 
-    Defined for 0 <= q <= n and sigma >= 0.  The decaying side at degree
-    -sigma-n has the same dimension for 1 <= q <= n-1 and dimension 0 at the
-    extreme ranks.
+        (n+2 sigma) (n+sigma-1)! / (sigma! (q-1)! (n-q-1)! (sigma+q) (n+sigma-q))
+
+    for 1 <= q <= n-1 (the O(n)-module of highest weight (sigma+1, 1^(q-1)),
+    Ikeda-Taniguchi 1978), and [sigma = 0] at q in {0, n}.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return seed_basis(n, q, sigma).dim
+    require_odd_dimension(n)
+    if not 0 <= q <= n:
+        raise InvalidRankError(f"rank {q} outside 0..{n}")
+    if q in (0, n):
+        return 1 if sigma == 0 else 0
+    return ((n + 2 * sigma) * factorial(n + sigma - 1)
+            // (factorial(sigma) * factorial(q - 1) * factorial(n - q - 1)
+                * (sigma + q) * (n + sigma - q)))
 
 
 def harmonic_dimension(n: int, degree: int) -> int:

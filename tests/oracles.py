@@ -14,6 +14,7 @@ route:
                        diff_by_canonicalize
   wedge                exterior product by the component formula, with ring
                        multiplication of the coefficients
+  radial_one_form      the 1-form sum x_i dx^i, component by component
   r_op_by_wedge        wedge(radial_one_form(n), f)
   t_op_by_product      contraction with the Euler field as sums of el * x_i
   expand_side_full_gram  one side of an expansion through the full Gram of all
@@ -25,7 +26,7 @@ import itertools
 from towercalc.errors import (ConsistencyError, InvalidRankError,
                               require_odd_dimension)
 from towercalc.expansion import SideExpansion, tower_candidates
-from towercalc.forms import Form, radial_one_form, sphere_inner_product
+from towercalc.forms import Form, sphere_inner_product
 from towercalc.harmonic import kernel_of_operators
 from towercalc.linalg import matrix_rank, solve_posdef
 from towercalc.ring import QQ, RadialRingElement, reduced_monomials
@@ -170,6 +171,11 @@ def wedge(a: Form, b: Form) -> Form:
             term = Form(a.n, a.q + b.q, {tuple(sorted(a_idx + b_idx)): a_el * b_el})
             total = total - term if inversions % 2 else total + term
     return total
+
+
+def radial_one_form(n: int) -> Form:
+    """The 1-form sum x_i dx^i."""
+    return Form(n, 1, {(i,): RadialRingElement.variable(n, i) for i in range(1, n + 1)})
 
 
 def r_op_by_wedge(f: Form) -> Form:

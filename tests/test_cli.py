@@ -199,6 +199,12 @@ _ITERATE_SEED = ["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", 
     (["verify", "--no-rebuild", "{path}"], _first_form(_pad_key)),
     (["verify", "--no-rebuild", "{path}"], _first_form(_split_term)),
     (["verify", "--no-rebuild", "{path}"], _first_form(_zero_term)),
+    (_ITERATE_SEED, dict(_profile_seed(), f_coeffs=_profile_seed()["f_coeffs"] * 2)),
+    (_ITERATE_SEED, _profile_seed(m=99)),
+    (["expand", "--input", "{path}", "--floors", "2"],
+     dict(_ZERO_PAIR, kind="tower_family", n=5, q=3)),
+    (["expand", "--input", "{path}", "--floors", "2"], dict(_ZERO_PAIR, kind="tower_family")),
+    (["expand", "--input", "{path}", "--floors", "2"], dict(_ZERO_PAIR, q=2)),
 ], ids=["verify-list", "verify-bad-family", "classify-list",
         "classify-list-components", "expand-zero-denominator", "iterate-list",
         "verify-floors-beyond-stored", "verify-floors-short-of-stored",
@@ -208,7 +214,9 @@ _ITERATE_SEED = ["iterate", "--n", "3", "--q", "1", "--weight", "2", "--power", 
         "verify-q-bool", "verify-coef-float", "verify-coef-bool",
         "verify-coef-decimal-str", "iterate-coeff-float", "verify-sign-bool",
         "verify-sign-float", "iterate-sign-float", "verify-key-not-canonical",
-        "verify-split-term", "verify-zero-term"])
+        "verify-split-term", "verify-zero-term", "iterate-duplicate-index",
+        "iterate-m-past-multiplicity", "expand-header-not-stored",
+        "expand-kind-not-pair", "expand-q-not-stored"])
 def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -361,7 +369,7 @@ def test_usage_exit_code_for_unknown_command(capsys):
 
 def test_bad_seed_cache_entries_are_recomputed(tmp_path, capsys, monkeypatch):
     from towercalc import harmonic
-    argv = ("dims", "--n", "3", "--sigma-max", "1")
+    argv = ("build", "--n", "3", "--q", "1", "--sigma-max", "1")
     monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
     monkeypatch.setattr(harmonic, "_CACHE", {})
     code, want, _ = run(capsys, *argv)
@@ -381,6 +389,60 @@ def test_bad_seed_cache_entries_are_recomputed(tmp_path, capsys, monkeypatch):
     # the recomputed entries were written back and load silently
     monkeypatch.setattr(harmonic, "_CACHE", {})
     assert run(capsys, *argv) == (0, want, "")
+
+
+def _scale_first_form(forms):
+    for parts in forms[0]["components"].values():
+        for part in parts:
+            for term in part["terms"]:
+                term["coef"] = str(3 * qq(term["coef"]))
+
+
+def _drop_last_form(forms):
+    forms.pop()
+
+
+def _nudge_first_form(forms):
+    # the x1*x3 dx^3 coefficient 4/3 of the first form sits off every pivot
+    # column, so the basis stays in echelon form but the form is not closed
+    forms[0]["components"]["3"][0]["terms"][0]["coef"] = "5/3"
+
+
+@pytest.mark.parametrize("tamper", [_scale_first_form, _drop_last_form,
+                                    _nudge_first_form],
+                         ids=["not-echelon", "wrong-dimension", "not-biclosed"])
+def test_tampered_seed_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, tamper):
+    """A cache entry that is not the canonical basis of its space is a miss:
+    it changes neither what build writes, nor what dims counts, nor the
+    rebuild that verify compares a family built from it against."""
+    from towercalc import harmonic
+    from towercalc.harmonic import SeedSpace
+    build = ("build", "--n", "3", "--q", "1", "--sign", "plus", "--sigma", "2",
+             "--floors", "2")
+    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, want, _ = run(capsys, *build)
+    assert code == 0
+    dims = run(capsys, "dims", "--n", "3")
+    entry = tmp_path / "seeds_n3_q1_h2.json"
+    doc = json.loads(entry.read_text())
+    tamper(doc["forms"])
+    # the family a build that trusted the entry would write
+    monkeypatch.setattr(harmonic, "_CACHE", {(3, 1, 2): SeedSpace.from_obj(doc)})
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(build_tower_pair(3, 1, 1, 2, 2).to_obj()))
+    entry.write_text(json.dumps(doc))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, out, err = run(capsys, *build)
+    assert (code, out) == (0, want)
+    assert "recomputing" in err
+    entry.write_text(json.dumps(doc))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, out, _ = run(capsys, "verify", "--harmonicity", str(fam))
+    assert code == 1
+    assert "FAIL family(n=3,q=1,sign=+,sigma=2) canonical-rebuild" in out
+    entry.write_text(json.dumps(doc))
+    assert run(capsys, "dims", "--n", "3") == dims
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path, capsys):

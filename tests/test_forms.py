@@ -5,12 +5,11 @@ import sympy
 from hypothesis import given, strategies as st
 
 from towercalc.forms import (Form, GradeError, R_op, T_op, monomial_average,
-                             poly_sphere_average, radial_one_form,
-                             sphere_inner_product)
+                             poly_sphere_average, sphere_inner_product)
 from towercalc.ring import QQ, RadialRingElement, monomials, qq
 
 from oracles import (hodge_div, laplacian_by_diff, laplacian_factored,
-                     r_op_by_wedge, t_op_by_product, wedge)
+                     r_op_by_wedge, radial_one_form, t_op_by_product, wedge)
 from test_ring import ring_elements
 
 R = RadialRingElement

@@ -3,14 +3,14 @@ import os
 
 import pytest
 
-from towercalc.errors import InvalidRankError
+from towercalc import harmonic
+from towercalc.errors import ConsistencyError, InvalidRankError
 from towercalc.forms import sphere_inner_product
-from towercalc.harmonic import (SeedSpace, clear_cache, harmonic_dimension,
-                                mu, seed_basis)
+from towercalc.harmonic import (SeedSpace, clear_cache, echelon_normalize,
+                                harmonic_dimension, mu, seed_basis)
 from towercalc.linalg import matrix_rank
-from towercalc.ring import qq
 
-from oracles import direct_seed_basis
+from oracles import direct_seed_basis, radial_one_form
 
 # frozen dimension tables; the n=3 middle-rank pattern is 2*sigma + 3
 N3_MU = {(0, 0): 1, (0, 1): 0, (0, 2): 0,
@@ -30,6 +30,31 @@ def test_dimensions_n3(q, sigma):
 @pytest.mark.parametrize("q,sigma", sorted(N5_MU))
 def test_dimensions_n5(q, sigma):
     assert mu(5, q, sigma) == N5_MU[(q, sigma)]
+
+
+@pytest.mark.parametrize("n,sigma_max", [(3, 5), (5, 3), (7, 1)])
+def test_closed_form_mu_matches_the_polynomial_kernel(n, sigma_max):
+    for q in range(n + 1):
+        for sigma in range(sigma_max + 1):
+            assert mu(n, q, sigma) == len(harmonic._solve_polynomial(n, q, sigma)), \
+                (n, q, sigma)
+
+
+def test_mu_rejects_what_seed_basis_rejects():
+    with pytest.raises(ValueError):
+        mu(3, 1, -1)
+    with pytest.raises(ValueError):
+        mu(4, 1, 0)
+    with pytest.raises(InvalidRankError):
+        mu(3, 4, 0)
+
+
+def test_basis_of_the_wrong_dimension_is_a_consistency_error(monkeypatch):
+    monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    monkeypatch.setattr(harmonic, "_solve_polynomial", lambda n, q, degree: [])
+    with pytest.raises(ConsistencyError, match="found dim 0, expected 5"):
+        seed_basis(3, 1, 1)
 
 
 def test_rank_one_dimension_matches_harmonic_polynomials():
@@ -71,7 +96,8 @@ def test_decaying_seed_members_are_biclosed(q, sigma):
         assert f.rot().is_zero() and f.div().is_zero()
 
 
-@pytest.mark.parametrize("q,degree", [(1, 2), (1, -4), (2, 1)])
+@pytest.mark.parametrize("q,degree", [(1, 2), (1, -4), (2, 1), (1, -3), (1, -5),
+                                      (2, -3), (2, -4), (2, -5)])
 def test_strategies_agree(q, degree):
     assert seed_basis(3, q, degree).forms == direct_seed_basis(3, q, degree)
 
@@ -94,13 +120,12 @@ def test_empty_spaces_at_extreme_ranks():
 
 
 def test_ghost_slots_are_one_dimensional():
+    # the inverse-power radial form r^-n sum x_i dx^i and its Hodge star
     for n in (3, 5):
-        g = seed_basis(n, 1, 1 - n)
-        assert g.dim == 1
-        h = seed_basis(n, n - 1, 1 - n)
-        assert h.dim == 1
-        assert h.forms[0] == g.forms[0].hodge_star() or \
-            h.forms[0] == g.forms[0].hodge_star().scale(qq(-1))
+        ghost = radial_one_form(n).mul_r_power(-n)
+        assert list(seed_basis(n, 1, 1 - n).forms) == echelon_normalize([ghost])
+        assert list(seed_basis(n, n - 1, 1 - n).forms) == \
+            echelon_normalize([ghost.hodge_star()])
 
 
 def test_invalid_rank_rejected():
@@ -136,3 +161,12 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert again.forms == space.forms
     monkeypatch.delenv("TOWERCALC_CACHE")
     clear_cache()
+
+
+def test_only_polynomial_spaces_are_cached_on_disk(tmp_path, monkeypatch):
+    # counts solve nothing; decaying and ghost spaces are built, not stored
+    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    assert mu(9, 4, 6) == 160524
+    assert seed_basis(3, 1, -4).dim == 5 and seed_basis(3, 1, -2).dim == 1
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["seeds_n3_q1_h1.json"]

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from towercalc.errors import ConsistencyError
-from towercalc.forms import Form, R_op, T_op, radial_one_form
+from towercalc.forms import Form, R_op, T_op
 from towercalc.harmonic import mu, seed_basis
 from towercalc.ring import QQ, RadialRingElement, qq
 from towercalc.towers import (TowerContext, TowerFamily, TowerIndex, a_chain,
@@ -10,7 +10,7 @@ from towercalc.towers import (TowerContext, TowerFamily, TowerIndex, a_chain,
                               homogeneity_degree, tower_coefficient,
                               verify_family, verify_low_floor_harmonicity)
 
-from oracles import tower_coefficient_closed
+from oracles import radial_one_form, tower_coefficient_closed
 
 R = RadialRingElement
 
