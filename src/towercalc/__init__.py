@@ -11,7 +11,7 @@ from .ring import QQ, qq, qq_str, RadialRingElement, monomials, reduced_monomial
 from .errors import (ConsistencyError, HypothesisError, InvalidRankError,
                      require_odd_dimension)
 from .forms import (Form, GradeError, R_op, T_op, monomial_average,
-                    poly_sphere_average, sphere_inner_product)
+                    sphere_inner_product)
 from .harmonic import (SeedSpace, seed_basis, mu, harmonic_dimension,
                        clear_cache)
 from .towers import (TowerIndex, TowerFamily, TowerContext,
@@ -38,7 +38,7 @@ __all__ = [
     "ConsistencyError", "HypothesisError", "InvalidRankError",
     "require_odd_dimension",
     "Form", "GradeError", "R_op", "T_op",
-    "monomial_average", "poly_sphere_average", "sphere_inner_product",
+    "monomial_average", "sphere_inner_product",
     "SeedSpace", "seed_basis", "mu", "harmonic_dimension", "clear_cache",
     "TowerIndex", "TowerFamily", "TowerContext", "ExceptionalFormDescriptor",
     "a_chain", "b_chain", "build_tower_pair", "exceptional_form",

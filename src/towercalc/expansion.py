@@ -13,11 +13,15 @@ The Gram matrix of one degree is block-diagonal.  The members of one
 sphere pairing is O(n)-invariant and R, T and r^2 are equivariant, so by
 Schur's lemma members of different blocks are orthogonal (+ and - blocks of
 one degree included).  Each degree is therefore solved block by block, with
-the blocks' Grams computed once per TowerContext (TowerContext.block_gram);
-only the right-hand sides <piece, member> are computed per call.  The
-exceptional slot is not one of the candidates: its products with them are
-computed on every call and must be exactly 0, after which it is solved as a
-1x1 block.  tests/oracles.py keeps the full-Gram solve.
+the blocks' members and Grams computed once per TowerContext
+(TowerContext.block, TowerContext.block_gram); only the right-hand sides
+<piece, member> are computed per call.  Products are memoised per form
+(forms.sphere_inner_product): a cached member keeps its pairing with every
+monomial it has met, so a right-hand side costs one lookup per term of the
+piece.  The exceptional slot is not one of the candidates: its products with
+them are computed on every call and must be exactly 0, after which it is
+solved as a 1x1 block.  tests/oracles.py keeps the full-Gram solve and the
+uncached product.
 """
 
 from __future__ import annotations

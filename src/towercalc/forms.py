@@ -57,7 +57,16 @@ def _accumulate(out: dict, key: tuple, term: RadialRingElement,
 
 
 class Form:
-    __slots__ = ("n", "q", "components")
+    """A rank-q form: components {strictly increasing index tuple: nonzero
+    RadialRingElement}.
+
+    components must not be mutated after construction.  A form caches its
+    sphere restrictions and pairings in _sphere (see _sphere_entry), which is
+    None until the form is first paired; ==, to_obj and every operator ignore
+    it, and each new Form starts without one.
+    """
+
+    __slots__ = ("n", "q", "components", "_sphere")
 
     def __init__(self, n: int, q: int, components: dict | None = None):
         if not 0 <= q <= n:
@@ -74,6 +83,7 @@ class Form:
                 if not el.is_zero():
                     comps[idx] = el
         self.components = comps
+        self._sphere = None
 
     # -- constructors --------------------------------------------------------
 
@@ -227,6 +237,20 @@ class Form:
                 slot[idx] = piece
         return {d: Form(self.n, self.q, comps) for d, comps in sorted(out.items())}
 
+    # -- sphere pairing cache ------------------------------------------------
+
+    def _sphere_entry(self, idx: tuple) -> tuple:
+        """(restriction, memo) of component idx: its sphere restriction
+        {alpha: c}, computed once, and the memo alpha -> avg_S(x^alpha *
+        restriction) that sphere_inner_product fills."""
+        cache = self._sphere
+        if cache is None:
+            cache = self._sphere = {}
+        entry = cache.get(idx)
+        if entry is None:
+            entry = cache[idx] = (self.components[idx].sphere_restriction(), {})
+        return entry
+
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:
@@ -295,32 +319,31 @@ def monomial_average(alpha, n: int) -> QQ:
     return QQ(num) / QQ(den)
 
 
-def poly_sphere_average(poly: dict, n: int) -> QQ:
-    total = _Q0
-    for alpha, c in poly.items():
-        avg = monomial_average(alpha, n)
-        if avg:
-            total += c * avg
-    return total
-
-
 def sphere_inner_product(a: Form, b: Form) -> QQ:
-    """Exact average over the unit sphere of the pointwise component pairing."""
+    """Exact average over the unit sphere of the pointwise component pairing.
+
+    Linear in a's terms: each term c x^alpha of a's restriction contributes
+    c * avg_S(x^alpha * b's restriction), an entry of b's memo that is
+    filled through monomial_average on first use (Form._sphere_entry)."""
     if a.n != b.n or a.q != b.q:
         raise ValueError("mismatched shapes in sphere inner product")
+    n = a.n
     total = _Q0
-    for idx, el in a.components.items():
-        other = b.components.get(idx)
-        if other is None:
+    for idx in a.components:
+        if idx not in b.components:
             continue
-        pa = el.sphere_restriction()
-        pb = other.sphere_restriction()
-        prod: dict = {}
-        for al, ca in pa.items():
-            for be, cb in pb.items():
-                g = tuple(x + y for x, y in zip(al, be))
-                prod[g] = prod.get(g, _Q0) + ca * cb
-        total += poly_sphere_average(prod, a.n)
+        pb, memo = b._sphere_entry(idx)
+        for alpha, ca in a._sphere_entry(idx)[0].items():
+            avg = memo.get(alpha)
+            if avg is None:
+                avg = _Q0
+                for beta, cb in pb.items():
+                    m = monomial_average(tuple(x + y for x, y in zip(alpha, beta)), n)
+                    if m:
+                        avg += cb * m
+                memo[alpha] = avg
+            if avg:
+                total += ca * avg
     return total
 
 

@@ -440,12 +440,14 @@ def checked_gram(forms: list, rank: int, line: str, degree: int) -> list:
 
 
 class TowerContext:
-    """Caches built families and resolves TowerIndex lookups per rank/line."""
+    """Caches built families, block members and block Grams, and resolves
+    TowerIndex lookups per rank/line."""
 
     def __init__(self, n: int):
         require_odd_dimension(n)
         self.n = n
         self._families: dict = {}
+        self._blocks: dict = {}
         self._block_grams: dict = {}
 
     def family(self, q: int, sign: int, sigma: int, floors: int) -> TowerFamily:
@@ -465,21 +467,26 @@ class TowerContext:
                           index.sigma, index.k)
         return fam.member(line, index.k, index.m)
 
-    def block(self, rank: int, line: str, sign: int, k: int, sigma: int) -> list:
+    def block(self, rank: int, line: str, sign: int, k: int, sigma: int) -> tuple:
         """The present, nonzero members (index, form) of one (sign, k, sigma)
-        block of a rank/line, in m order."""
-        out = []
-        for m in range(1, multiplicity(self.n, rank, line, sigma, k) + 1):
-            idx = TowerIndex(sign, k, sigma, m)
-            f = self.member(rank, line, idx)
-            if f is not None and not f.is_zero():
-                out.append((idx, f))
-        return out
+        block of a rank/line, in m order, looked up once per context.  A
+        family rebuilt with more floors keeps its lower floors, so a cached
+        block, like its Gram, stays valid for the life of the context."""
+        key = (rank, line, sign, k, sigma)
+        members = self._blocks.get(key)
+        if members is None:
+            members = []
+            for m in range(1, multiplicity(self.n, rank, line, sigma, k) + 1):
+                idx = TowerIndex(sign, k, sigma, m)
+                f = self.member(rank, line, idx)
+                if f is not None and not f.is_zero():
+                    members.append((idx, f))
+            members = self._blocks[key] = tuple(members)
+        return members
 
     def block_gram(self, rank: int, line: str, sign: int, k: int, sigma: int) -> list:
         """checked_gram of block(rank, line, sign, k, sigma), computed on first
-        use.  A family rebuilt with more floors keeps its lower floors, so a
-        cached block stays valid for the life of the context."""
+        use."""
         key = (rank, line, sign, k, sigma)
         gram = self._block_grams.get(key)
         if gram is None:

@@ -17,8 +17,12 @@ route:
   radial_one_form      the 1-form sum x_i dx^i, component by component
   r_op_by_wedge        wedge(radial_one_form(n), f)
   t_op_by_product      contraction with the Euler field as sums of el * x_i
+  sphere_inner_product_direct  the sphere pairing by multiplying both
+                       restrictions out and averaging the product monomial by
+                       monomial, with no cache (poly_sphere_average)
   expand_side_full_gram  one side of an expansion through the full Gram of all
-                       candidates at each degree, cross-block entries included
+                       candidates at each degree, cross-block entries included,
+                       paired by sphere_inner_product_direct
 """
 
 import itertools
@@ -26,7 +30,7 @@ import itertools
 from towercalc.errors import (ConsistencyError, InvalidRankError,
                               require_odd_dimension)
 from towercalc.expansion import SideExpansion, tower_candidates
-from towercalc.forms import Form, sphere_inner_product
+from towercalc.forms import Form, monomial_average
 from towercalc.harmonic import kernel_of_operators
 from towercalc.linalg import matrix_rank, solve_posdef
 from towercalc.ring import QQ, RadialRingElement, reduced_monomials
@@ -196,6 +200,35 @@ def t_op_by_product(f: Form) -> Form:
     return total
 
 
+def poly_sphere_average(poly: dict, n: int) -> QQ:
+    total = _Q0
+    for alpha, c in poly.items():
+        avg = monomial_average(alpha, n)
+        if avg:
+            total += c * avg
+    return total
+
+
+def sphere_inner_product_direct(a: Form, b: Form) -> QQ:
+    """Exact average over the unit sphere of the pointwise component pairing."""
+    if a.n != b.n or a.q != b.q:
+        raise ValueError("mismatched shapes in sphere inner product")
+    total = _Q0
+    for idx, el in a.components.items():
+        other = b.components.get(idx)
+        if other is None:
+            continue
+        pa = el.sphere_restriction()
+        pb = other.sphere_restriction()
+        prod: dict = {}
+        for al, ca in pa.items():
+            for be, cb in pb.items():
+                g = tuple(x + y for x, y in zip(al, be))
+                prod[g] = prod.get(g, _Q0) + ca * cb
+        total += poly_sphere_average(prod, a.n)
+    return total
+
+
 def expand_side_full_gram(form: Form, rank: int, line: str, k_max: int,
                           ctx: TowerContext,
                           hat: ExceptionalFormDescriptor | None) -> SideExpansion:
@@ -223,12 +256,12 @@ def expand_side_full_gram(form: Form, rank: int, line: str, k_max: int,
         if not basis:
             side.residual = side.residual + piece
             continue
-        gram = [[sphere_inner_product(a, b) for b in basis] for a in basis]
+        gram = [[sphere_inner_product_direct(a, b) for b in basis] for a in basis]
         if matrix_rank(gram) != len(basis):
             raise ConsistencyError(
                 f"dependent expansion candidates at rank {rank} {line}-line "
                 f"degree {degree}")
-        rhs = [sphere_inner_product(piece, b) for b in basis]
+        rhs = [sphere_inner_product_direct(piece, b) for b in basis]
         sol = solve_posdef(gram, rhs)
         rem = piece
         for c, b in zip(sol, basis):

@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from towercalc.cli import main
 from towercalc.expansion import MaxwellPair
@@ -224,6 +228,137 @@ def test_wrong_shaped_json_is_a_usage_error(tmp_path, capsys, command, doc):
     assert code == 2
     assert "internal error" not in err
     assert out == ""
+
+
+# -- fuzzing the maxwell_pair document through `expand --input` ---------------
+
+_CTX3 = TowerContext(3)
+_PAIR_DOC = MaxwellPair(
+    _CTX3.d_form(1, TowerIndex(1, 1, 1, 2)).scale(qq("3/7"))
+    + _CTX3.d_form(1, TowerIndex(-1, 2, 0, 1)).scale(qq(2)),
+    _CTX3.r_form(2, TowerIndex(1, 2, 0, 1)).scale(qq(-5))
+    + _CTX3.r_form(2, TowerIndex(-1, 0, 0, 1))).to_obj()
+
+# one value of each JSON type; a type mutation picks one of another type
+_JSON_VALUES = [None, True, 7, 1.5, "x", [], {}]
+_BAD_RATIONALS = ["0", "-0", "0/5", "1/0", "1.5", " 1", "1/-2", "+1", "", "1e3",
+                  "--1", "1/2/3", "\u00bd", "\u0663", "0x10"]
+_COMPONENT_KEYS = ["", "0", "1", "2", "3", "4", "1,2", "1,3", "2,3", "2,1", "1,1",
+                   " 1", "01", "1,", "a", "1_0", "+1", "\u0663", "1,2,3"]
+
+
+def _json_type(value):
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def _nodes(doc, path=()):
+    """(path, value) of doc and of everything below it."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _canonical_key(key, n, q):
+    """Is key how to_obj writes a rank-q component tuple in dimension n?"""
+    parts = key.split(",") if key else []
+    if not all(p.isascii() and p.isdigit() and p == str(int(p)) for p in parts):
+        return False
+    idx = [int(p) for p in parts]
+    return len(idx) == q and all(0 < a < b for a, b in zip(idx, idx[1:] + [n + 1]))
+
+
+@st.composite
+def mutated_pairs(draw):
+    """(document, malformed): _PAIR_DOC with one mutation of a key, a type, a
+    rank, a rational or a component key; malformed says whether the result
+    must be refused."""
+    doc = json.loads(json.dumps(_PAIR_DOC))
+    nodes = list(_nodes(doc))
+    read = [(p, v) for p, v in nodes if p and "schema" not in p]
+    kind = draw(st.sampled_from(["key", "extra-key", "type", "rank", "rational",
+                                 "component-key", "drop-component"]))
+    if kind == "key":
+        path, _ = draw(st.sampled_from(
+            [(p, v) for p, v in read
+             if isinstance(p[-1], str) and p[-2:-1] != ("components",)]))
+        parent = _at(doc, path[:-1])
+        value = parent.pop(path[-1])
+        if draw(st.booleans()):
+            parent[path[-1] + "_"] = value
+        return doc, True
+    if kind == "extra-key":
+        path, _ = draw(st.sampled_from(
+            [(p, v) for p, v in nodes if isinstance(v, dict) and p[-1:] != ("components",)]))
+        _at(doc, path)["note"] = draw(st.sampled_from(_JSON_VALUES))
+        return doc, False
+    if kind == "type":
+        path, old = draw(st.sampled_from(read))
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(
+            [v for v in _JSON_VALUES if _json_type(v) != _json_type(old)]))
+        return doc, True
+    if kind == "rank":
+        path = draw(st.sampled_from([("q",), ("e", "q"), ("h", "q"),
+                                     ("n",), ("e", "n"), ("h", "n")]))
+        old = _at(doc, path)
+        _at(doc, path[:-1])[path[-1]] = draw(st.integers(-1, 7).filter(lambda v: v != old))
+        return doc, True
+    if kind == "rational":
+        path, _ = draw(st.sampled_from([(p, v) for p, v in read if p[-1] == "coef"]))
+        good = draw(st.booleans())
+        if good:
+            p = draw(st.integers(-50, 50).filter(bool))
+            text = draw(st.sampled_from([str(p), f"{p}/{draw(st.integers(1, 50))}"]))
+        else:
+            text = draw(st.sampled_from(_BAD_RATIONALS))
+        _at(doc, path[:-1])["coef"] = text
+        return doc, not good
+    side = draw(st.sampled_from(["e", "h"]))
+    comps = doc[side]["components"]
+    key = draw(st.sampled_from(sorted(comps)))
+    value = comps.pop(key)
+    if kind == "drop-component":
+        return doc, False
+    new = draw(st.sampled_from(_COMPONENT_KEYS))
+    comps[new] = value
+    return doc, not _canonical_key(new, doc[side]["n"], doc[side]["q"])
+
+
+@given(mutated_pairs())
+def test_fuzzed_maxwell_pairs_never_fault(case):
+    """A mutated maxwell_pair is refused with exit 2 when it is malformed and
+    expanded (exit 0 or 1) when it is not; nothing exits 3 or raises."""
+    doc, malformed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["expand", "--input", str(path), "--floors", "3"])
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if malformed:
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+    else:
+        assert code in (0, 1), err.getvalue()
+
+
+def test_unmutated_fuzz_base_pair_expands_exactly():
+    assert _canonical_key("1,3", 3, 2) and not _canonical_key("3,1", 3, 2)
+    assert _canonical_key("", 3, 0) and not _canonical_key("01", 3, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps(_PAIR_DOC))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["expand", "--input", str(path), "--floors", "3"]) == 0
 
 
 def pair_file(tmp_path, ctx, parts, name="pair.json"):

@@ -5,11 +5,12 @@ import sympy
 from hypothesis import given, strategies as st
 
 from towercalc.forms import (Form, GradeError, R_op, T_op, monomial_average,
-                             poly_sphere_average, sphere_inner_product)
+                             sphere_inner_product)
 from towercalc.ring import QQ, RadialRingElement, monomials, qq
 
 from oracles import (hodge_div, laplacian_by_diff, laplacian_factored,
-                     r_op_by_wedge, radial_one_form, t_op_by_product, wedge)
+                     poly_sphere_average, r_op_by_wedge, radial_one_form,
+                     sphere_inner_product_direct, t_op_by_product, wedge)
 from test_ring import ring_elements
 
 R = RadialRingElement
@@ -42,10 +43,11 @@ def homogeneous_forms(draw, n=3, q=None, degree=None):
 
 
 @st.composite
-def ring_forms(draw, n=3):
+def ring_forms(draw, n=3, q=None):
     """Rank-q forms whose components are arbitrary ring elements: mixed
     degrees, odd and even r-exponents, x_1-heavy monomials."""
-    q = draw(st.integers(0, n))
+    if q is None:
+        q = draw(st.integers(0, n))
     idx_choices = list(itertools.combinations(range(1, n + 1), q))
     form = Form.zero(n, q)
     for _ in range(draw(st.integers(1, 3))):
@@ -257,6 +259,39 @@ def test_sphere_inner_product_symmetric_bilinear(a, b):
     assert sphere_inner_product(a, b) == sphere_inner_product(b, a)
     assert sphere_inner_product(a + b, b) == \
         sphere_inner_product(a, b) + sphere_inner_product(b, b)
+
+
+@st.composite
+def forms_to_pair(draw):
+    """(b, [a, ...]): non-homogeneous forms of one rank, n in {3, 5}."""
+    n = draw(st.sampled_from([3, 5]))
+    q = draw(st.integers(0, n))
+    return draw(ring_forms(n, q)), draw(st.lists(ring_forms(n, q), min_size=2, max_size=4))
+
+
+@given(forms_to_pair(), rationals)
+def test_memoised_sphere_product_matches_the_direct_product(case, c):
+    b, others = case
+    fresh = Form.from_obj(b.to_obj())
+    for _ in range(2):                        # the second round hits the memos
+        for a in others:
+            assert sphere_inner_product(a, b) == sphere_inner_product_direct(a, b)
+            assert sphere_inner_product(b, a) == sphere_inner_product_direct(b, a)
+        assert sphere_inner_product(b, b) == sphere_inner_product_direct(b, b)
+    g = others[0]
+    v = sphere_inner_product_direct(b, g)
+    assert sphere_inner_product(b.scale(c), g) == c * v
+    assert sphere_inner_product(g, b.scale(c)) == c * v
+    assert sphere_inner_product(-b, g) == -v
+    assert sphere_inner_product(b + g, g) == v + sphere_inner_product_direct(g, g)
+    assert sphere_inner_product(g, b + g) == v + sphere_inner_product_direct(g, g)
+    copy = Form.from_obj(b.to_obj())
+    assert sphere_inner_product(copy, g) == v
+    assert sphere_inner_product(g, copy) == v
+    # the cache is not part of the value: a paired and an unpaired copy agree
+    assert fresh._sphere is None and (b._sphere is not None or b.is_zero())
+    assert b == fresh and fresh == b
+    assert b.to_obj() == fresh.to_obj()
 
 
 @given(homogeneous_forms())
