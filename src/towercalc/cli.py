@@ -14,7 +14,8 @@ import io
 import json
 import sys
 
-from .errors import DECODE_ERRORS, HypothesisError, require_odd_dimension
+from .errors import (DECODE_ERRORS, SCHEMA, HypothesisError, require_int,
+                     require_odd_dimension, require_schema)
 from .expansion import (MaxwellPair, expand, lemma34_classify,
                         membership_filter)
 from .forms import Form
@@ -79,10 +80,11 @@ class UsageError(Exception):
 
 
 def _decode(path: str, decode):
-    """decode(the JSON document at path); a wrong-shaped document is a
-    usage error, not an internal fault."""
+    """decode(the JSON document at path); a wrong-shaped document, or one
+    stating another schema, is a usage error, not an internal fault."""
     obj = _load_json(path)
     try:
+        require_schema(obj)
         return decode(obj)
     except DECODE_ERRORS as ex:
         raise UsageError(f"invalid input in {path}: {type(ex).__name__}: {ex}")
@@ -109,7 +111,7 @@ def cmd_build(args) -> int:
             if args.verbose:
                 _note(f"built family q={args.q} sign={'+' if sign > 0 else '-'} "
                       f"sigma={sigma} floors={args.floors}")
-    _emit_json(args.out, {"schema": "towercalc/1", "kind": "tower_family_set",
+    _emit_json(args.out, {"schema": SCHEMA, "kind": "tower_family_set",
                           "n": args.n, "families": families})
     return EXIT_OK
 
@@ -118,7 +120,11 @@ def _families_from_obj(obj) -> list:
     if obj.get("kind") == "tower_family":
         return [TowerFamily.from_obj(obj)]
     if obj.get("kind") == "tower_family_set":
-        return [TowerFamily.from_obj(fo) for fo in obj["families"]]
+        n = require_int(obj["n"], "n")
+        families = [TowerFamily.from_obj(fo) for fo in obj["families"]]
+        if any(fam.n != n for fam in families):
+            raise ValueError(f"a family of the set is not of the set's dimension n={n}")
+        return families
     raise ValueError("expected a tower_family or tower_family_set document")
 
 
@@ -175,7 +181,7 @@ def cmd_classify(args) -> int:
     s = qq_str_to_q(args.weight)
     rep = lemma34_classify(form, s, ctx)
     _emit_json(args.out, dict(
-        rep, schema="towercalc/1", kind="classification", n=form.n, q=form.q,
+        rep, schema=SCHEMA, kind="classification", n=form.n, q=form.q,
         weight=qq_str(s), indices=[i.to_obj() for i in rep["indices"]],
         exceptional=None if rep["exceptional"] is None else rep["exceptional"].to_obj()))
     return EXIT_OK
@@ -215,7 +221,7 @@ def cmd_iterate(args) -> int:
         _, desc = apply_L_power(profile, args.power, tau)
     except (HypothesisError, ValueError) as ex:
         raise UsageError(f"inadmissible iteration input: {ex}")
-    _emit_json(args.out, {"schema": "towercalc/1", "kind": "iteration",
+    _emit_json(args.out, {"schema": SCHEMA, "kind": "iteration",
                           "power": args.power,
                           "tau": None if tau is None else qq_str(tau),
                           "profiles": [p.to_obj() for p in chain],

@@ -20,6 +20,16 @@ class HypothesisError(ValueError):
 DECODE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError)
 
 
+SCHEMA = "towercalc/1"
+
+
+def require_schema(obj) -> None:
+    """A decoded document may leave out its schema field, but a schema it
+    states must be SCHEMA."""
+    if isinstance(obj, dict) and obj.get("schema", SCHEMA) != SCHEMA:
+        raise ValueError(f"schema must be {SCHEMA!r}, got {obj['schema']!r}")
+
+
 def require_odd_dimension(n: int) -> None:
     if n < 3:
         raise ValueError(f"dimension {n}: too small (need odd n >= 3)")

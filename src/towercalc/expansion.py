@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .errors import ConsistencyError, require_int
+from .errors import SCHEMA, ConsistencyError, require_int
 from .forms import Form, sphere_inner_product
 from .indices import enumerate_excluded, in_weighted_l2, shift_index
 from .linalg import solve_posdef
@@ -63,7 +63,7 @@ class MaxwellPair:
         return self.e.q
 
     def to_obj(self) -> dict:
-        return {"schema": "towercalc/1", "kind": "maxwell_pair", "n": self.n,
+        return {"schema": SCHEMA, "kind": "maxwell_pair", "n": self.n,
                 "q": self.q, "e": self.e.to_obj(), "h": self.h.to_obj()}
 
     @classmethod
@@ -208,7 +208,7 @@ class ExpansionResult:
                 "hat_coeff": None if side.hat_coeff is None else qq_str(side.hat_coeff),
                 "residual_zero": side.residual.is_zero(),
             }
-        return {"schema": "towercalc/1", "kind": "expansion", "n": self.n,
+        return {"schema": SCHEMA, "kind": "expansion", "n": self.n,
                 "q": self.q, "k_max": self.k_max, "exact": self.exact,
                 "e": side_obj(self.e_side), "h": side_obj(self.h_side)}
 

@@ -16,6 +16,9 @@ exterior algebra).  T_op on rank 0 is the zero 0-form by convention.
 
 from __future__ import annotations
 
+from functools import cache
+from math import lcm
+
 from .errors import require_int
 from .ring import QQ, RadialRingElement, qq
 
@@ -151,29 +154,39 @@ class Form:
     # -- differential operators ----------------------------------------------
 
     def _raise_rank(self, add_into) -> "Form":
-        """sum_i dx^i wedge (op_i f), where add_into(el, table, i, sign) adds
-        sign * op_i(el) to a part table in normal form."""
+        """sum_i dx^i wedge (op_i f), where add_into(el, table, i, k) adds
+        k * el.den * op_i(el) to an integer part table in normal form: every
+        component enters over the lcm of the component denominators."""
+        den = self._common_den()
         tables: dict = {}
         for idx, el in self.components.items():
+            k = den // el.den
             for i in range(1, self.n + 1):
                 if i in idx:
                     continue
                 pos = sum(1 for j in idx if j < i)
                 add_into(el, tables.setdefault(tuple(sorted(idx + (i,))), {}),
-                         i, -1 if pos % 2 else 1)
-        return self._from_tables(self.q + 1, tables)
+                         i, -k if pos % 2 else k)
+        return self._from_tables(self.q + 1, tables, den)
 
     def _lower_rank(self, add_into) -> "Form":
         """sum_t (-1)^(t-1) op_{i_t}(f_I) dx^(I without i_t), add_into as above."""
+        den = self._common_den()
         tables: dict = {}
         for idx, el in self.components.items():
+            k = den // el.den
             for t, i in enumerate(idx):
                 add_into(el, tables.setdefault(idx[:t] + idx[t + 1:], {}),
-                         i, -1 if t % 2 else 1)
-        return self._from_tables(self.q - 1, tables)
+                         i, -k if t % 2 else k)
+        return self._from_tables(self.q - 1, tables, den)
 
-    def _from_tables(self, q: int, tables: dict) -> "Form":
-        return Form(self.n, q, {idx: RadialRingElement(self.n, t, _canonical=True)
+    def _common_den(self) -> int:
+        return lcm(*(el.den for el in self.components.values()))
+
+    def _from_tables(self, q: int, tables: dict, den: int) -> "Form":
+        """The rank-q form of integer part tables over den; each component's
+        content is divided out once."""
+        return Form(self.n, q, {idx: RadialRingElement._from_table(self.n, t, den)
                                 for idx, t in tables.items() if t})
 
     def rot(self) -> "Form":
@@ -299,8 +312,9 @@ def T_op(form: Form) -> Form:
 # sphere averages and the exact inner product
 # ---------------------------------------------------------------------------
 
-def monomial_average(alpha, n: int) -> QQ:
-    """Average of x^alpha over the unit sphere S^(n-1).
+@cache
+def monomial_average(alpha: tuple, n: int) -> QQ:
+    """Average of x^alpha over the unit sphere S^(n-1), memoised per (alpha, n).
 
     Zero when any exponent is odd; otherwise
     prod_i (alpha_i - 1)!! / prod_{t=0}^{s-1} (n + 2t) with s = |alpha|/2.
@@ -377,8 +391,9 @@ def coordinate_vectors(forms: list) -> tuple[list, list]:
     for f in forms:
         v = [_Q0] * len(keys)
         for idx, el in f.components.items():
+            den = el.den
             for (d, bb), poly in el.parts.items():
                 for alpha, c in poly.items():
-                    v[pos[(idx, d, bb, alpha)]] = c
+                    v[pos[(idx, d, bb, alpha)]] = QQ(c, den)
         vecs.append(v)
     return keys, vecs

@@ -24,8 +24,8 @@ import threading
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import (DECODE_ERRORS, ConsistencyError, InvalidRankError,
-                     require_int, require_odd_dimension)
+from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
+                     require_int, require_odd_dimension, require_schema)
 from .forms import Form, R_op, T_op, coordinate_vectors
 from .linalg import nullspace, rref
 from .ring import QQ, RadialRingElement, monomials
@@ -46,8 +46,7 @@ def form_from_coordinates(n: int, q: int, keys: list, vec: list) -> Form:
         parts = raw.setdefault(idx, {})
         poly = parts.setdefault((d, b), {})
         poly[alpha] = poly.get(alpha, _Q0) + c
-    comps = {idx: RadialRingElement(n, parts, _canonical=True)
-             for idx, parts in raw.items()}
+    comps = {idx: RadialRingElement(n, parts) for idx, parts in raw.items()}
     return Form(n, q, comps)
 
 
@@ -115,7 +114,7 @@ class SeedSpace:
         return len(self.forms)
 
     def to_obj(self) -> dict:
-        return {"schema": "towercalc/1", "kind": "seed_space", "n": self.n,
+        return {"schema": SCHEMA, "kind": "seed_space", "n": self.n,
                 "q": self.q, "degree": self.degree,
                 "forms": [f.to_obj() for f in self.forms]}
 
@@ -141,12 +140,14 @@ def _disk_cache_path(n: int, q: int, degree: int):
 
 
 def _load_cached(path: str, key: tuple, dim: int):
-    """The seed space stored at path, or None when the file does not parse
-    or does not hold the canonical basis of the (n, q, degree) space of its
-    key: dim bi-closed forms of that shape, in reduced row-echelon form."""
+    """The seed space stored at path, or None when the file does not parse,
+    states another schema, or does not hold the canonical basis of the
+    (n, q, degree) space of its key: dim bi-closed forms of that shape, in
+    reduced row-echelon form."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
+        require_schema(obj)
         space = SeedSpace.from_obj(obj)
         forms = space.forms
         ok = (obj["kind"] == "seed_space" and (space.n, space.q, space.degree) == key

@@ -1,17 +1,24 @@
 """Exact coefficient ring for radial form calculus.
 
 Elements live in Q[x_1..x_n][r, r^-1] modulo the relation r^2 = x_1^2 + ... +
-x_n^2.  An element is stored as a sum of homogeneous parts
+x_n^2.  An element is stored as integer numerators over one denominator,
 
-    sum_{(d, b)}  r^b * p_{d,b}(x)
+    (1 / den) * sum_{(d, b)}  r^b * p_{d,b}(x)
 
-where p_{d,b} is a homogeneous polynomial of degree d - b that is *reduced*:
-no monomial of p_{d,b} has x_1-exponent >= 2.  Reduced polynomials are the
-remainders of division by r^2 - sum x_i^2 (leading monomial x_1^2 under
-graded lex), so this representation is a canonical normal form: two elements
-are equal in the quotient ring iff their part tables are identical.
+where p_{d,b} is a homogeneous polynomial of degree d - b with Python-int
+coefficients that is *reduced*: no monomial of p_{d,b} has x_1-exponent >= 2.
+Reduced polynomials are the remainders of division by r^2 - sum x_i^2 (leading
+monomial x_1^2 under graded lex).  den is positive and shares no factor with
+all the numerators together (the layout of FLINT's fmpq_poly); zero has no
+parts and den 1.  So this representation is a canonical normal form: two
+elements are equal in the quotient ring iff their part tables and
+denominators are identical.
 
-All arithmetic is exact; coefficients are fractions.Fraction.
+All arithmetic is exact.  The operators add and multiply integer numerators
+and divide out the content once per result.  Rationals cross the boundary as
+fractions.Fraction (QQ): the constructor takes rational-valued raw tables and
+clears their denominators once; sphere_restriction, to_records and
+forms.coordinate_vectors hand out QQ.
 """
 
 from __future__ import annotations
@@ -19,11 +26,11 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction as QQ
+from math import gcd, lcm
 
 from .errors import require_int
 
 _Q0 = QQ(0)
-_Q1 = QQ(1)
 
 
 def qq(value) -> QQ:
@@ -72,13 +79,13 @@ def reduced_monomials(n: int, degree: int):
 
 
 # ---------------------------------------------------------------------------
-# plain polynomial helpers: a polynomial is a dict {exponent tuple: QQ},
-# zero coefficients never stored.
+# plain polynomial helpers: a polynomial is a dict {exponent tuple: int}, zero
+# coefficients never stored; a part table maps (degree, r_exp) to one.
 # ---------------------------------------------------------------------------
 
 def _padd_into(acc: dict, poly: dict) -> None:
     for alpha, c in poly.items():
-        new = acc.get(alpha, _Q0) + c
+        new = acc.get(alpha, 0) + c
         if new:
             acc[alpha] = new
         else:
@@ -90,7 +97,7 @@ def _pmul(p: dict, q: dict) -> dict:
     for a, ca in p.items():
         for b, cb in q.items():
             g = tuple(x + y for x, y in zip(a, b))
-            new = out.get(g, _Q0) + ca * cb
+            new = out.get(g, 0) + ca * cb
             if new:
                 out[g] = new
             else:
@@ -98,28 +105,20 @@ def _pmul(p: dict, q: dict) -> dict:
     return out
 
 
-def _add_term(table: dict, key: tuple, alpha: tuple, c) -> None:
-    """table[key][alpha] += c, dropping cancelled terms and emptied parts."""
+def _add_term(table: dict, key: tuple, alpha: tuple, c: int) -> None:
+    """table[key][alpha] += c for c != 0, dropping cancelled terms and
+    emptied parts."""
     poly = table.get(key)
     if poly is None:
         table[key] = {alpha: c}
         return
-    old = poly.get(alpha)
-    if old is None:
-        poly[alpha] = c
-        return
-    new = old + c
+    new = poly.get(alpha, 0) + c
     if new:
         poly[alpha] = new
     else:
         del poly[alpha]
         if not poly:
             del table[key]
-
-
-def _times(c, k: int):
-    """c * k for an integer k, skipping the multiply at k = +-1."""
-    return c if k == 1 else -c if k == -1 else c * k
 
 
 def _add_var_times(table: dict, key: tuple, p: dict, j: int, k: int) -> None:
@@ -130,7 +129,7 @@ def _add_var_times(table: dict, key: tuple, p: dict, j: int, k: int) -> None:
     """
     d, b = key
     for alpha, c in p.items():
-        c = _times(c, k)
+        c *= k
         e = alpha[j]
         if j or not e:
             _add_term(table, key, alpha[:j] + (e + 1,) + alpha[j + 1:], c)
@@ -141,8 +140,28 @@ def _add_var_times(table: dict, key: tuple, p: dict, j: int, k: int) -> None:
             _add_term(table, key, beta[:t] + (beta[t] + 2,) + beta[t + 1:], -c)
 
 
+def _content(table: dict, g: int) -> int:
+    """gcd of g and every numerator of the table."""
+    for poly in table.values():
+        if g == 1:
+            break
+        g = gcd(g, *poly.values())
+    return g
+
+
+def _normalized(table: dict, den: int) -> tuple:
+    """(table, den) with their common factor divided out, the table in place;
+    den is 1 when the table is empty."""
+    g = _content(table, den)
+    if g != 1:
+        for poly in table.values():
+            for alpha in poly:
+                poly[alpha] //= g
+    return table, den // g
+
+
 def reduce_poly(p: dict, n: int) -> dict:
-    """Divide by x_1^2 + ... + x_n^2 repeatedly.
+    """Divide by x_1^2 + ... + x_n^2 repeatedly; only adds and subtracts.
 
     Returns {r_offset: reduced poly} with p = sum_k (sum x^2)^(k/2) * poly_k,
     offsets even, every returned polynomial free of x_1-exponents >= 2.
@@ -155,17 +174,17 @@ def reduce_poly(p: dict, n: int) -> dict:
         heavy = [alpha for alpha in cur if alpha[0] >= 2]
         while heavy:
             for alpha in heavy:
-                c = cur.pop(alpha, _Q0)
+                c = cur.pop(alpha, 0)
                 if not c:
                     continue
                 beta = (alpha[0] - 2,) + alpha[1:]
-                quot[beta] = quot.get(beta, _Q0) + c
+                quot[beta] = quot.get(beta, 0) + c
                 if not quot[beta]:
                     del quot[beta]
                 # x1^2 * x^beta = (sum x^2) x^beta - sum_{j>=2} xj^2 x^beta
                 for j in range(1, n):
                     gamma = beta[:j] + (beta[j] + 2,) + beta[j + 1:]
-                    new = cur.get(gamma, _Q0) - c
+                    new = cur.get(gamma, 0) - c
                     if new:
                         cur[gamma] = new
                     else:
@@ -178,57 +197,79 @@ def reduce_poly(p: dict, n: int) -> dict:
     return out
 
 
+def _reduce_table(n: int, raw: dict) -> dict:
+    """The normal-form part table of a raw integer table {(d, b): poly}."""
+    out: dict = {}
+    for (d, b), poly in raw.items():
+        for off, red in reduce_poly(poly, n).items():
+            key = (d, b + off)
+            if key in out:
+                _padd_into(out[key], red)
+                if not out[key]:
+                    del out[key]
+            else:
+                out[key] = red
+    return out
+
+
 class RadialRingElement:
     """Canonical element of Q[x][r, r^-1] / (r^2 - sum x_i^2).
 
-    parts maps (total_degree, r_exp) -> reduced homogeneous polynomial dict
-    of degree total_degree - r_exp.  Do not mutate parts after construction.
+    parts maps (total_degree, r_exp) -> reduced homogeneous polynomial
+    {alpha: int numerator} of degree total_degree - r_exp, and den is the one
+    positive denominator of every numerator, with gcd(den, numerators) = 1.
+    RadialRingElement(n, raw) canonicalizes a raw table of rational (int or
+    QQ) coefficients.  Do not mutate parts after construction.
     """
 
-    __slots__ = ("n", "parts")
+    __slots__ = ("n", "parts", "den")
 
-    def __init__(self, n: int, parts: dict | None = None, _canonical: bool = False):
+    def __init__(self, n: int, parts: dict | None = None):
         self.n = n
-        if not parts:
-            self.parts = {}
-        elif _canonical:
-            self.parts = parts
-        else:
-            self.parts = self._canonicalize(n, parts)
+        self.parts, self.den = _normalized(*self._canonicalize(n, parts or {}))
 
     @staticmethod
-    def _canonicalize(n: int, raw: dict) -> dict:
-        out: dict = {}
+    def _canonicalize(n: int, raw: dict) -> tuple:
+        """(normal-form integer table, den) of a raw rational table: the
+        denominators are cleared once, then reduction runs on integers."""
+        den = 1
+        for poly in raw.values():
+            for c in poly.values():
+                if den % c.denominator:
+                    den = lcm(den, c.denominator)
+        ints: dict = {}
         for (d, b), poly in raw.items():
-            if not poly:
-                continue
-            for alpha, c in poly.items():
+            for alpha in poly:
                 if sum(alpha) != d - b:
                     raise ValueError(
                         f"part ({d},{b}) holds monomial {alpha} of degree "
                         f"{sum(alpha)}, expected {d - b}")
-            for off, red in reduce_poly(poly, n).items():
-                key = (d, b + off)
-                if key in out:
-                    _padd_into(out[key], red)
-                    if not out[key]:
-                        del out[key]
-                else:
-                    out[key] = red
-        return out
+            ints[(d, b)] = {alpha: c.numerator * (den // c.denominator)
+                            for alpha, c in poly.items()}
+        return _reduce_table(n, ints), den
+
+    @classmethod
+    def _make(cls, n: int, parts: dict, den: int) -> "RadialRingElement":
+        """The element (parts, den), already canonical."""
+        el = object.__new__(cls)
+        el.n, el.parts, el.den = n, parts, den
+        return el
+
+    @classmethod
+    def _from_table(cls, n: int, table: dict, den: int) -> "RadialRingElement":
+        """table / den for a fresh integer part table in normal form (reduced,
+        no zero term, no empty part) and den > 0."""
+        return cls._make(n, *_normalized(table, den))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "RadialRingElement":
-        return cls(n, {}, _canonical=True)
+        return cls._make(n, {}, 1)
 
     @classmethod
     def from_rational(cls, n: int, c) -> "RadialRingElement":
-        c = qq(c)
-        if not c:
-            return cls.zero(n)
-        return cls(n, {(0, 0): {(0,) * n: c}}, _canonical=True)
+        return cls.r_power(n, 0, c)
 
     @classmethod
     def one(cls, n: int) -> "RadialRingElement":
@@ -240,18 +281,14 @@ class RadialRingElement:
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside 1..{n}")
         alpha = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {(1, 0): {alpha: _Q1}}, _canonical=True)
+        return cls._make(n, {(1, 0): {alpha: 1}}, 1)
 
     @classmethod
     def from_poly(cls, n: int, poly: dict) -> "RadialRingElement":
         """Element from {exponent tuple: coefficient}; canonicalized."""
         raw: dict = {}
         for alpha, c in poly.items():
-            c = qq(c)
-            if not c:
-                continue
-            slot = raw.setdefault((sum(alpha), 0), {})
-            slot[alpha] = slot.get(alpha, _Q0) + c
+            raw.setdefault((sum(alpha), 0), {})[alpha] = qq(c)
         return cls(n, raw)
 
     @classmethod
@@ -259,7 +296,7 @@ class RadialRingElement:
         c = qq(coef)
         if not c:
             return cls.zero(n)
-        return cls(n, {(b, b): {(0,) * n: c}}, _canonical=True)
+        return cls._make(n, {(b, b): {(0,) * n: c.numerator}}, c.denominator)
 
     # -- structure ----------------------------------------------------------
 
@@ -272,34 +309,47 @@ class RadialRingElement:
 
     def homogeneous_part(self, d: int) -> "RadialRingElement":
         kept = {k: dict(p) for k, p in self.parts.items() if k[0] == d}
-        return RadialRingElement(self.n, kept, _canonical=True)
+        return RadialRingElement._from_table(self.n, kept, self.den)
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _plus(self, other: "RadialRingElement", sign: int) -> "RadialRingElement":
+        """self + sign * other, over the lcm of the two denominators."""
+        if self.n != other.n:
+            raise ValueError("mixed variable counts")
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        out = {k: {a: c * ka for a, c in p.items()} for k, p in self.parts.items()}
+        for k, p in other.parts.items():
+            acc = out.get(k)
+            if acc is None:
+                out[k] = {a: c * kb for a, c in p.items()}
+                continue
+            for a, c in p.items():
+                new = acc.get(a, 0) + c * kb
+                if new:
+                    acc[a] = new
+                else:
+                    del acc[a]
+            if not acc:
+                del out[k]
+        return RadialRingElement._from_table(self.n, out, den)
 
     def __add__(self, other):
         if not isinstance(other, RadialRingElement):
             other = RadialRingElement.from_rational(self.n, other)
-        if self.n != other.n:
-            raise ValueError("mixed variable counts")
-        out = {k: dict(p) for k, p in self.parts.items()}
-        for k, p in other.parts.items():
-            if k in out:
-                _padd_into(out[k], p)
-                if not out[k]:
-                    del out[k]
-            else:
-                out[k] = dict(p)
-        return RadialRingElement(self.n, out, _canonical=True)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = {k: {a: -c for a, c in p.items()} for k, p in self.parts.items()}
-        return RadialRingElement(self.n, out, _canonical=True)
+        return RadialRingElement._make(self.n, out, self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RadialRingElement)
-                       else RadialRingElement.from_rational(self.n, other).__neg__())
+        if not isinstance(other, RadialRingElement):
+            other = RadialRingElement.from_rational(self.n, other)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         if not isinstance(other, RadialRingElement):
@@ -317,21 +367,28 @@ class RadialRingElement:
                     _padd_into(raw[key], prod)
                 else:
                     raw[key] = prod
-        return RadialRingElement(self.n, raw)
+        return RadialRingElement._from_table(self.n, _reduce_table(self.n, raw),
+                                             self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "RadialRingElement":
+        """c * self.  With c = u/v in lowest terms, u's common factor with den
+        cancels at once, and only v can share a factor with the numerators."""
         c = qq(c)
         if not c:
             return RadialRingElement.zero(self.n)
-        out = {k: {a: cc * c for a, cc in p.items()} for k, p in self.parts.items()}
-        return RadialRingElement(self.n, out, _canonical=True)
+        u, v = c.numerator, c.denominator
+        g = gcd(u, self.den)
+        h = _content(self.parts, v)
+        u //= g
+        out = {k: {a: cc // h * u for a, cc in p.items()} for k, p in self.parts.items()}
+        return RadialRingElement._make(self.n, out, self.den // g * (v // h))
 
     def mul_r_power(self, b: int) -> "RadialRingElement":
         """Multiply by r^b (a pure index shift, no reduction needed)."""
         out = {(d + b, bb + b): dict(p) for (d, bb), p in self.parts.items()}
-        return RadialRingElement(self.n, out, _canonical=True)
+        return RadialRingElement._make(self.n, out, self.den)
 
     def diff(self, i: int) -> "RadialRingElement":
         """Partial derivative in x_i (1-based), using d/dx_i r^b = b r^(b-2) x_i."""
@@ -339,10 +396,11 @@ class RadialRingElement:
             raise ValueError(f"variable index {i} outside 1..{self.n}")
         table: dict = {}
         self.add_diff_into(table, i)
-        return RadialRingElement(self.n, table, _canonical=True)
+        return RadialRingElement._from_table(self.n, table, self.den)
 
-    def add_diff_into(self, table: dict, i: int, sign: int = 1) -> None:
-        """table += sign * d/dx_i(self), for a part table in normal form.
+    def add_diff_into(self, table: dict, i: int, k: int = 1) -> None:
+        """table += k * den * d/dx_i(self), for an integer part table in normal
+        form: the derivative's numerators over den, times the integer k.
 
         d/dx_i (r^b p) = r^b d_i p + b r^(b-2) x_i p: d_i of a reduced p is
         reduced, and only x_1 p needs the one reduction step of _add_var_times.
@@ -353,15 +411,14 @@ class RadialRingElement:
             for alpha, c in p.items():
                 e = alpha[j]
                 if e:
-                    _add_term(table, key, alpha[:j] + (e - 1,) + alpha[j + 1:],
-                              _times(c, sign * e))
+                    _add_term(table, key, alpha[:j] + (e - 1,) + alpha[j + 1:], c * (k * e))
             if b:
-                _add_var_times(table, (d - 1, b - 2), p, j, sign * b)
+                _add_var_times(table, (d - 1, b - 2), p, j, k * b)
 
-    def add_var_into(self, table: dict, i: int, sign: int = 1) -> None:
-        """table += sign * x_i * self, for a part table in normal form."""
+    def add_var_into(self, table: dict, i: int, k: int = 1) -> None:
+        """table += k * den * x_i * self, for an integer part table in normal form."""
         for (d, b), p in self.parts.items():
-            _add_var_times(table, (d + 1, b), p, i - 1, sign)
+            _add_var_times(table, (d + 1, b), p, i - 1, k)
 
     def laplacian(self) -> "RadialRingElement":
         """Sum of second partials by the closed form, part by part:
@@ -383,34 +440,36 @@ class RadialRingElement:
             k = b * (2 * (d - b) + b + n - 2)
             if k:
                 for alpha, c in p.items():
-                    _add_term(table, (d - 2, b - 2), alpha, _times(c, k))
-        return RadialRingElement(n, table, _canonical=True)
+                    _add_term(table, (d - 2, b - 2), alpha, c * k)
+        return RadialRingElement._from_table(n, table, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, RadialRingElement):
             if other == 0:
                 return self.is_zero()
             return NotImplemented
-        return self.n == other.n and self.parts == other.parts
+        return self.n == other.n and self.den == other.den and self.parts == other.parts
 
     __hash__ = None
 
     # -- sphere restriction and evaluation -----------------------------------
 
     def sphere_restriction(self) -> dict:
-        """Restrict to the unit sphere: drop r powers, sum the part polynomials."""
+        """Restrict to the unit sphere: drop r powers, sum the part
+        polynomials; {alpha: QQ}."""
         out: dict = {}
-        for _, p in self.parts.items():
+        for p in self.parts.values():
             _padd_into(out, p)
-        return out
+        return {alpha: QQ(c, self.den) for alpha, c in out.items()}
 
     # -- serialization -------------------------------------------------------
 
     def _record_items(self) -> list:
-        """[((degree, r_exp), [(alpha, coef), ...]), ...] in the order
+        """[((degree, r_exp), [(alpha, QQ coef), ...]), ...] in the order
         to_records writes them: parts sorted, terms by descending grlex."""
-        return [(key, sorted(self.parts[key].items(), key=lambda kv: grlex_key(kv[0]),
-                             reverse=True))
+        return [(key, [(alpha, QQ(c, self.den)) for alpha, c in
+                       sorted(self.parts[key].items(), key=lambda kv: grlex_key(kv[0]),
+                              reverse=True)])
                 for key in sorted(self.parts)]
 
     def to_records(self) -> list:
@@ -449,7 +508,7 @@ class RadialRingElement:
             return "0"
         chunks = []
         for (d, b) in sorted(self.parts, key=lambda k: (k[0], -k[1])):
-            body = _poly_str(self.parts[(d, b)])
+            body = _poly_str(self.parts[(d, b)], self.den)
             if b == 0:
                 chunks.append(body)
             else:
@@ -461,9 +520,10 @@ class RadialRingElement:
         return f"<RadialRingElement n={self.n} {self}>"
 
 
-def _poly_str(p: dict) -> str:
+def _poly_str(p: dict, den: int) -> str:
     terms = []
     for alpha, c in sorted(p.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+        c = QQ(c, den)
         factors = []
         for i, e in enumerate(alpha):
             if e == 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyError, HypothesisError
+from .errors import SCHEMA, ConsistencyError, HypothesisError
 from .forms import Form
 from .indices import (enumerate_excluded, in_weighted_l2,
                       is_exceptional_weight, require_hypotheses, shift_index)
@@ -167,7 +167,7 @@ class TowerProfile:
     def to_obj(self) -> dict:
         def cmap(d):
             return [dict(i.to_obj(), coeff=c.to_obj()) for i, c in sorted(d.items())]
-        return {"schema": "towercalc/1", "kind": "tower_profile",
+        return {"schema": SCHEMA, "kind": "tower_profile",
                 "n": self.n, "q": self.q, "s": qq_str(self.s), "step": self.step,
                 "l2_part": f"L2({qq_str(self.s)})" if self.l2_part else None,
                 "f_coeffs": cmap(self.f_coeffs), "g_coeffs": cmap(self.g_coeffs)}
@@ -256,7 +256,7 @@ class OperatorRangeDescriptor:
 
     def to_obj(self) -> dict:
         b = self.t_bounds()
-        return {"schema": "towercalc/1", "kind": "operator_range",
+        return {"schema": SCHEMA, "kind": "operator_range",
                 "n": self.n, "q": self.q,
                 "source_weight": qq_str(qq(self.source_weight)),
                 "power": self.power,

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ConsistencyError, InvalidRankError, require_int,
-                     require_odd_dimension)
+from .errors import (SCHEMA, ConsistencyError, InvalidRankError, require_int,
+                     require_odd_dimension, require_schema)
 from .forms import Form, R_op, T_op, sphere_gram
 from .harmonic import mu, seed_basis
 from .linalg import matrix_rank
@@ -247,7 +247,7 @@ class TowerFamily:
 
     def to_obj(self) -> dict:
         return {
-            "schema": "towercalc/1", "kind": "tower_family",
+            "schema": SCHEMA, "kind": "tower_family",
             "n": self.n, "q": self.q,
             "sign": "+" if self.sign > 0 else "-",
             "sigma": self.sigma, "floors": self.floors,
@@ -259,6 +259,11 @@ class TowerFamily:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "TowerFamily":
+        """Decode a stored family.  The derived header fields omega_sq,
+        ghost_a and ghost_b must hold exactly the values to_obj writes."""
+        require_schema(obj)
+        if obj["kind"] != "tower_family":
+            raise ValueError(f"expected kind 'tower_family', got {obj['kind']!r}")
         floors = require_int(obj["floors"], "floors")
         d_floors = [[Form.from_obj(o) for o in fl] for fl in obj["d_floors"]]
         r_floors = [[Form.from_obj(o) for o in fl] for fl in obj["r_floors"]]
@@ -275,8 +280,13 @@ class TowerFamily:
                 if (f.n, f.q) != (fam.n, rank):
                     raise ValueError(f"a {line} member has n={f.n} rank {f.q}, "
                                      f"expected n={fam.n} rank {rank}")
-        if (bool(obj.get("ghost_a")), bool(obj.get("ghost_b"))) != (fam.ghost_a, fam.ghost_b):
-            raise ValueError("ghost_a/ghost_b disagree with the family header")
+        if fam.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {fam.sigma}")
+        for field in ("omega_sq", "ghost_a", "ghost_b"):
+            value = getattr(fam, field)
+            if type(obj[field]) is not type(value) or obj[field] != value:
+                raise ValueError(f"{field} is {obj[field]!r}, but the family header "
+                                 f"gives {value!r}")
         return fam
 
 

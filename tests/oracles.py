@@ -10,6 +10,10 @@ route:
   tower_coefficient_closed   closed product form of the floor-coefficient recursion
   diff_by_canonicalize d/dx_i term by term into raw parts, then the full
                        canonicalization RadialRingElement(n, raw)
+  fraction_*           the part-table operators on Fraction coefficients, one
+                       Fraction per term, as the ring computed them before its
+                       integer-numerator layout: diff, rot, div, R_op, T_op,
+                       laplacian, scale, + and -, on fraction_parts tables
   laplacian_by_diff    sum_i of second partials per component, through
                        diff_by_canonicalize
   wedge                exterior product by the component formula, with ring
@@ -86,8 +90,7 @@ def direct_seed_basis(n: int, q: int, degree: int) -> tuple:
         cands = []
         for e in range(depth + 1):
             for alpha in reduced_monomials(n, e):
-                el = RadialRingElement(
-                    n, {(degree, degree - e): {alpha: _Q1}}, _canonical=True)
+                el = RadialRingElement(n, {(degree, degree - e): {alpha: _Q1}})
                 for idx in tuples:
                     cands.append(Form(n, q, {idx: el}))
         kernel = kernel_of_operators(cands, _hodge_biclosed_operators(n, q))
@@ -140,6 +143,7 @@ def diff_by_canonicalize(el: RadialRingElement, i: int) -> RadialRingElement:
 
     for (d, b), p in el.parts.items():
         for alpha, c in p.items():
+            c = QQ(c, el.den)
             e = alpha[j]
             if e:
                 put((d - 1, b), alpha[:j] + (e - 1,) + alpha[j + 1:], c * e)
@@ -275,3 +279,167 @@ def expand_side_full_gram(form: Form, rank: int, line: str, k_max: int,
         side.residual = side.residual + rem
     side.exact = side.residual.is_zero()
     return side
+
+
+# ---------------------------------------------------------------------------
+# the part-table operators on Fraction coefficients
+# ---------------------------------------------------------------------------
+
+def fraction_parts(el: RadialRingElement) -> dict:
+    """el's part table with one Fraction per term: {(d, b): {alpha: QQ}}."""
+    return {k: {a: QQ(c, el.den) for a, c in p.items()} for k, p in el.parts.items()}
+
+
+def _add_term(table: dict, key: tuple, alpha: tuple, c) -> None:
+    """table[key][alpha] += c, dropping cancelled terms and emptied parts."""
+    poly = table.get(key)
+    if poly is None:
+        table[key] = {alpha: c}
+        return
+    old = poly.get(alpha)
+    if old is None:
+        poly[alpha] = c
+        return
+    new = old + c
+    if new:
+        poly[alpha] = new
+    else:
+        del poly[alpha]
+        if not poly:
+            del table[key]
+
+
+def _times(c, k: int):
+    """c * k for an integer k, skipping the multiply at k = +-1."""
+    return c if k == 1 else -c if k == -1 else c * k
+
+
+def _add_var_times(table: dict, key: tuple, p: dict, j: int, k: int) -> None:
+    """table[key] += k * x_j * p for a reduced p (j 0-based), in normal form.
+
+    x_j * p stays reduced unless j = 0 and a monomial already holds x_1; that
+    x_1^2 * x^beta is r^2 * x^beta - sum_{l>=2} x_l^2 * x^beta, one step.
+    """
+    d, b = key
+    for alpha, c in p.items():
+        c = _times(c, k)
+        e = alpha[j]
+        if j or not e:
+            _add_term(table, key, alpha[:j] + (e + 1,) + alpha[j + 1:], c)
+            continue
+        beta = (0,) + alpha[1:]
+        _add_term(table, (d, b + 2), beta, c)
+        for t in range(1, len(alpha)):
+            _add_term(table, key, beta[:t] + (beta[t] + 2,) + beta[t + 1:], -c)
+
+
+def fraction_add_diff_into(parts: dict, table: dict, i: int, sign: int = 1) -> None:
+    """table += sign * d/dx_i(parts), for a part table in normal form.
+
+    d/dx_i (r^b p) = r^b d_i p + b r^(b-2) x_i p: d_i of a reduced p is
+    reduced, and only x_1 p needs the one reduction step of _add_var_times.
+    """
+    j = i - 1
+    for (d, b), p in parts.items():
+        key = (d - 1, b)
+        for alpha, c in p.items():
+            e = alpha[j]
+            if e:
+                _add_term(table, key, alpha[:j] + (e - 1,) + alpha[j + 1:],
+                          _times(c, sign * e))
+        if b:
+            _add_var_times(table, (d - 1, b - 2), p, j, sign * b)
+
+
+def fraction_add_var_into(parts: dict, table: dict, i: int, sign: int = 1) -> None:
+    """table += sign * x_i * parts, for a part table in normal form."""
+    for (d, b), p in parts.items():
+        _add_var_times(table, (d + 1, b), p, i - 1, sign)
+
+
+def fraction_laplacian(parts: dict, n: int) -> dict:
+    """Sum of second partials by the closed form, part by part:
+
+        Delta(r^b p) = r^b Delta p + b (2 deg p + b + n - 2) r^(b-2) p,
+
+    where d_1^2 p = 0 for a reduced p, so every term is already reduced.
+    """
+    table: dict = {}
+    for (d, b), p in parts.items():
+        key = (d - 2, b)
+        for alpha, c in p.items():
+            for j in range(1, n):
+                e = alpha[j]
+                if e >= 2:
+                    _add_term(table, key, alpha[:j] + (e - 2,) + alpha[j + 1:],
+                              c * (e * (e - 1)))
+        k = b * (2 * (d - b) + b + n - 2)
+        if k:
+            for alpha, c in p.items():
+                _add_term(table, (d - 2, b - 2), alpha, _times(c, k))
+    return table
+
+
+def fraction_scale(parts: dict, c) -> dict:
+    c = QQ(c)
+    if not c:
+        return {}
+    return {k: {a: cc * c for a, cc in p.items()} for k, p in parts.items()}
+
+
+def fraction_diff(parts: dict, i: int) -> dict:
+    table: dict = {}
+    fraction_add_diff_into(parts, table, i)
+    return table
+
+
+def fraction_add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b, term by term."""
+    table = {k: dict(p) for k, p in a.items()}
+    for k, p in b.items():
+        for alpha, c in p.items():
+            _add_term(table, k, alpha, _times(c, sign))
+    return table
+
+
+def fraction_form_parts(f: Form) -> dict:
+    return {idx: fraction_parts(el) for idx, el in f.components.items()}
+
+
+def _fraction_raise_rank(f: Form, add_into) -> dict:
+    """sum_i dx^i wedge (op_i f) on Fraction tables; {idx: table}."""
+    tables: dict = {}
+    for idx, parts in fraction_form_parts(f).items():
+        for i in range(1, f.n + 1):
+            if i in idx:
+                continue
+            pos = sum(1 for j in idx if j < i)
+            add_into(parts, tables.setdefault(tuple(sorted(idx + (i,))), {}),
+                     i, -1 if pos % 2 else 1)
+    return {idx: t for idx, t in tables.items() if t}
+
+
+def _fraction_lower_rank(f: Form, add_into) -> dict:
+    """sum_t (-1)^(t-1) op_{i_t}(f_I) dx^(I without i_t) on Fraction tables."""
+    tables: dict = {}
+    for idx, parts in fraction_form_parts(f).items():
+        for t, i in enumerate(idx):
+            add_into(parts, tables.setdefault(idx[:t] + idx[t + 1:], {}),
+                     i, -1 if t % 2 else 1)
+    return {idx: t for idx, t in tables.items() if t}
+
+
+def fraction_rot(f: Form) -> dict:
+    return _fraction_raise_rank(f, fraction_add_diff_into)
+
+
+def fraction_div(f: Form) -> dict:
+    return _fraction_lower_rank(f, fraction_add_diff_into)
+
+
+def fraction_r_op(f: Form) -> dict:
+    return {} if f.q == f.n else _fraction_raise_rank(f, fraction_add_var_into)
+
+
+def fraction_t_op(f: Form) -> dict:
+    return {} if f.q == 0 else _fraction_lower_rank(f, fraction_add_var_into)

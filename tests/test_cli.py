@@ -361,6 +361,112 @@ def test_unmutated_fuzz_base_pair_expands_exactly():
             assert main(["expand", "--input", str(path), "--floors", "3"]) == 0
 
 
+@pytest.mark.parametrize("schema", [7, "nonsense", None])
+def test_expand_refuses_another_schema(tmp_path, capsys, schema):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(dict(_PAIR_DOC, schema=schema)))
+    code, out, err = run(capsys, "expand", "--input", str(path), "--floors", "3")
+    assert code == 2
+    assert out == ""
+    assert "schema" in err and "internal error" not in err
+
+
+def test_expand_reads_a_document_without_schema(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({k: v for k, v in _PAIR_DOC.items() if k != "schema"}))
+    code, out, _ = run(capsys, "expand", "--input", str(path), "--floors", "3")
+    assert code == 0 and json.loads(out)["exact"] is True
+
+
+# -- fuzzing the tower_family_set document through `verify` --------------------
+
+_SET_DOC = {"schema": "towercalc/1", "kind": "tower_family_set", "n": 3,
+            "families": [build_tower_pair(3, 1, sign, sigma, 2).to_obj()
+                         for sign in (1, -1) for sigma in (0, 1)]}
+_SET_HEADER = ("schema", "kind", "n")
+_FAMILY_HEADER = ("schema", "kind", "n", "q", "sign", "sigma", "floors", "omega_sq",
+                  "ghost_a", "ghost_b")
+_HEADER_VALUES = _JSON_VALUES + [-1, 0, 1, 2, 3, 5, False, "+", "-", "+1", "-1",
+                                 "towercalc/1", "tower_family", "tower_family_set"]
+
+
+def _is_sign(value):
+    return value in ("+", "-", "+1", "-1") or (type(value) is int and value in (1, -1))
+
+
+@st.composite
+def mutated_family_sets(draw):
+    """(document, malformed): _SET_DOC with one coefficient, exponent,
+    degree or r_exp, component key or header field changed; malformed says
+    whether the result must be refused.  Every header change but a sign
+    written as another sign contradicts the stored members or the derived
+    fields (omega_sq, ghost_a, ghost_b)."""
+    doc = json.loads(json.dumps(_SET_DOC))
+    nodes = list(_nodes(doc))
+    kind = draw(st.sampled_from(["coef", "alpha", "degree", "component-key", "header"]))
+    if kind == "coef":
+        path, _ = draw(st.sampled_from([(p, v) for p, v in nodes if p[-1:] == ("coef",)]))
+        good = draw(st.booleans())
+        if good:
+            p = draw(st.integers(-50, 50).filter(bool))
+            text = draw(st.sampled_from([str(p), f"{p}/{draw(st.integers(1, 50))}"]))
+        else:
+            text = draw(st.sampled_from(_BAD_RATIONALS))
+        _at(doc, path[:-1])["coef"] = text
+        return doc, not good
+    if kind in ("alpha", "degree"):
+        # one exponent, degree or r_exp changed breaks sum(alpha) = degree - r_exp
+        path, old = draw(st.sampled_from(
+            [(p, v) for p, v in nodes if len(p) > 1 and p[-2] == "alpha"] if kind == "alpha"
+            else [(p, v) for p, v in nodes if p[-1:] in (("degree",), ("r_exp",))]))
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(
+            [v for v in _JSON_VALUES + list(range(-4, 5)) if json.dumps(v) != json.dumps(old)]))
+        return doc, True
+    if kind == "component-key":
+        form = draw(st.sampled_from([v for _, v in nodes
+                                     if isinstance(v, dict) and v.get("components")]))
+        comps = form["components"]
+        value = comps.pop(draw(st.sampled_from(sorted(comps))))
+        new = draw(st.sampled_from(_COMPONENT_KEYS))
+        comps[new] = value
+        return doc, not _canonical_key(new, form["n"], form["q"])
+    path = draw(st.sampled_from([(f,) for f in _SET_HEADER] + [
+        ("families", i, f) for i in range(len(doc["families"])) for f in _FAMILY_HEADER]))
+    old = _at(doc, path)
+    new = draw(st.sampled_from([v for v in _HEADER_VALUES if json.dumps(v) != json.dumps(old)]))
+    _at(doc, path[:-1])[path[-1]] = new
+    return doc, not (path[-1] == "sign" and _is_sign(new))
+
+
+@given(mutated_family_sets())
+def test_fuzzed_family_sets_never_fault(case):
+    """A mutated tower_family_set is refused with exit 2 when it is malformed
+    and verified (exit 0 or 1) when it is not; nothing exits 3 or raises."""
+    doc, malformed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if malformed:
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+    else:
+        assert code in (0, 1), err.getvalue()
+
+
+def test_unmutated_fuzz_base_set_verifies(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(_SET_DOC))
+    code, out, _ = run(capsys, "verify", str(path))
+    lines = out.splitlines()
+    assert code == 0 and all(line.startswith("PASS family(") for line in lines)
+    assert len({line.split()[1] for line in lines}) == 4
+
+
 def pair_file(tmp_path, ctx, parts, name="pair.json"):
     q = 1
     e = Form.zero(3, q)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+from math import prod
 
 import pytest
 import sympy
@@ -8,7 +10,9 @@ from towercalc.forms import (Form, GradeError, R_op, T_op, monomial_average,
                              sphere_inner_product)
 from towercalc.ring import QQ, RadialRingElement, monomials, qq
 
-from oracles import (hodge_div, laplacian_by_diff, laplacian_factored,
+from oracles import (fraction_div, fraction_form_parts, fraction_laplacian,
+                     fraction_r_op, fraction_rot, fraction_scale, fraction_t_op,
+                     hodge_div, laplacian_by_diff, laplacian_factored,
                      poly_sphere_average, r_op_by_wedge, radial_one_form,
                      sphere_inner_product_direct, t_op_by_product, wedge)
 from test_ring import ring_elements
@@ -58,6 +62,35 @@ def ring_forms(draw, n=3, q=None):
 
 operator_inputs = st.one_of(homogeneous_forms(), homogeneous_forms(n=5),
                             ring_forms(), ring_forms(n=5))
+
+
+@st.composite
+def mixed_denominator_forms(draw, n):
+    """Forms whose components sit over different denominators: component t
+    is a ring element times a drawn integer over the t-th of 2, 3, 5, 7."""
+    q = draw(st.integers(0, n))
+    idxs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), q))),
+                         min_size=1, max_size=4, unique=True))
+    comps = {idx: draw(ring_elements(n, max_degree=2)).scale(QQ(draw(st.integers(1, 9)), p))
+             for idx, p in zip(idxs, (2, 3, 5, 7))}
+    return Form(n, q, comps)
+
+
+@given(st.sampled_from([3, 5]).flatmap(mixed_denominator_forms), rationals)
+def test_form_operators_match_fraction_oracles(f, c):
+    """rot, div, R_op, T_op, laplacian and scale over the lcm of the
+    component denominators give the Fraction-per-term tables."""
+    if f.q < f.n:
+        assert fraction_form_parts(f.rot()) == fraction_rot(f)
+    if f.q > 0:
+        assert fraction_form_parts(f.div()) == fraction_div(f)
+    assert fraction_form_parts(R_op(f)) == fraction_r_op(f)
+    assert fraction_form_parts(T_op(f)) == fraction_t_op(f)
+    parts = fraction_form_parts(f)
+    assert fraction_form_parts(f.laplacian()) == {
+        idx: t for idx, p in parts.items() if (t := fraction_laplacian(p, f.n))}
+    assert fraction_form_parts(f.scale(c)) == {
+        idx: t for idx, p in parts.items() if (t := fraction_scale(p, c))}
 
 
 def test_component_keys_validated():
@@ -235,6 +268,41 @@ def sympy_sphere_average(alpha):
 def test_monomial_average_known_values(alpha, expected):
     assert monomial_average(alpha, 3) == expected
     assert sympy.Rational(str(expected)) == sympy_sphere_average(alpha)
+
+
+@functools.cache
+def _gauss_moment(e):
+    """The integral of x^e exp(-x^2) over the real line, by sympy."""
+    x = sympy.symbols("x", real=True)
+    return sympy.integrate(x ** e * sympy.exp(-x ** 2), (x, -sympy.oo, sympy.oo))
+
+
+@functools.cache
+def _sphere_area_times_radial_moment(m, n):
+    """|S^(n-1)| times the integral of r^(m+n-1) exp(-r^2) over r > 0."""
+    r = sympy.symbols("r", positive=True)
+    area = 2 * sympy.pi ** sympy.Rational(n, 2) / sympy.gamma(sympy.Rational(n, 2))
+    return area * sympy.integrate(r ** (m + n - 1) * sympy.exp(-r ** 2), (r, 0, sympy.oo))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_monomial_average_matches_gaussian_moments(n):
+    """Oracle for every exponent of degree <= 6: the integral of x^alpha
+    exp(-|x|^2) over R^n is a product of 1-D Gaussian moments, and in polar
+    coordinates it is |S^(n-1)| avg_S(x^alpha) times a radial moment."""
+    for m in range(7):
+        for alpha in monomials(n, m):
+            want = prod((_gauss_moment(e) for e in alpha), start=sympy.Integer(1)) \
+                / _sphere_area_times_radial_moment(m, n)
+            assert want.is_Rational, (alpha, want)
+            assert sympy.Rational(str(monomial_average(alpha, n))) == want, alpha
+
+
+def test_monomial_average_is_memoised():
+    monomial_average((3, 1, 0), 3)
+    hits = monomial_average.cache_info().hits
+    assert monomial_average((3, 1, 0), 3) == 0
+    assert monomial_average.cache_info().hits == hits + 1
 
 
 def test_monomial_average_odd_exponent_vanishes():

@@ -163,6 +163,32 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     clear_cache()
 
 
+@pytest.mark.parametrize("schema", [7, "nonsense", None, "missing"])
+def test_seed_cache_entry_of_another_schema_is_a_miss(tmp_path, monkeypatch, capsys, schema):
+    """An entry stating another schema is recomputed and rewritten; one that
+    leaves the field out is read."""
+    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    space = seed_basis(3, 1, 2)
+    path = tmp_path / "seeds_n3_q1_h2.json"
+    payload = json.loads(path.read_text())
+    if schema == "missing":
+        del payload["schema"]
+    else:
+        payload["schema"] = schema
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    capsys.readouterr()
+    assert seed_basis(3, 1, 2).forms == space.forms
+    note = capsys.readouterr().err
+    if schema == "missing":
+        assert note == ""
+        assert "schema" not in json.loads(path.read_text())
+    else:
+        assert "unreadable" in note
+        assert json.loads(path.read_text())["schema"] == "towercalc/1"
+
+
 def test_only_polynomial_spaces_are_cached_on_disk(tmp_path, monkeypatch):
     # counts solve nothing; decaying and ghost spaces are built, not stored
     monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))

@@ -1,5 +1,6 @@
 import fractions
 import itertools
+import math
 
 import pytest
 import sympy
@@ -9,7 +10,8 @@ from towercalc.forms import Form, R_op, T_op
 from towercalc.ring import (QQ, RadialRingElement, monomials, qq, qq_str,
                             reduce_poly, reduced_monomials)
 
-from oracles import diff_by_canonicalize
+from oracles import (diff_by_canonicalize, fraction_add, fraction_diff,
+                     fraction_laplacian, fraction_parts, fraction_scale)
 
 R = RadialRingElement
 
@@ -138,19 +140,28 @@ def test_diff_matches_canonicalizing_oracle(a):
 
 
 def assert_normal_form(el):
+    """Integer numerators over one positive denominator, no common factor of
+    the two, no zero numerator or empty part, every monomial reduced and of
+    its part's degree; zero has den 1."""
+    assert type(el.den) is int and el.den > 0
+    nums = []
     for (d, bb), poly in el.parts.items():
         assert poly
         for alpha, cc in poly.items():
+            assert type(cc) is int and cc != 0
             assert alpha[0] < 2
-            assert cc != 0
             assert sum(alpha) == d - bb
+            nums.append(cc)
+    assert math.gcd(el.den, *nums) == 1
+    if el.is_zero():
+        assert el.den == 1
 
 
 @given(st.sampled_from([3, 5]).flatmap(
     lambda n: st.tuples(ring_elements(n), ring_elements(n))))
 def test_canonical_form_has_no_leading_squares(pair):
-    # the operators build their output with _canonical=True, trusting that
-    # they only ever produce normal forms
+    # the operators build their output from integer tables they trust to be
+    # reduced, dividing out only the content
     a, b = pair
     n = a.n
     outputs = [a, a.laplacian()] + [a.diff(i) for i in range(1, n + 1)]
@@ -169,6 +180,57 @@ def test_canonical_form_has_no_leading_squares(pair):
             outputs.append(el)
     for el in outputs:
         assert_normal_form(el)
+
+
+@given(st.sampled_from([3, 5]).flatmap(
+    lambda n: st.tuples(ring_elements(n), ring_elements(n))), rationals)
+def test_arithmetic_results_are_in_normal_form(pair, c):
+    a, b = pair
+    outputs = [a + b, a - b, a - a, a * b, -a, a.scale(c), a.scale(0), a.scale(2),
+               b.scale(QQ(1, 6)) + b.scale(QQ(5, 6)), a.mul_r_power(-3),
+               R.from_records(a.n, a.to_records()), RadialRingElement(a.n, {})]
+    outputs += [a.homogeneous_part(d) for d in a.degrees()]
+    for el in outputs:
+        assert_normal_form(el)
+    assert (a - a).parts == {} and (a - a).den == 1
+    assert b.scale(QQ(1, 6)) + b.scale(QQ(5, 6)) == b
+
+
+def test_content_is_divided_out():
+    half = R.from_rational(3, QQ(1, 2))
+    assert (half + half).den == 1 and half + half == R.one(3)
+    x1 = R.variable(3, 1)
+    assert x1.scale(QQ(2, 3)).den == 3
+    assert (x1.scale(QQ(2, 3)) * R.from_rational(3, QQ(3, 4))).den == 2
+    # d/dx1 of x1^2 / 2 is x1, over den 1
+    sq = R.from_poly(3, {(0, 2, 0): QQ(1, 2)})
+    assert sq.diff(2) == R.variable(3, 2) and sq.diff(2).den == 1
+    assert R.zero(3).den == 1 and R.from_rational(3, 0).den == 1
+
+
+@st.composite
+def element_pairs(draw):
+    """Two n in {3, 5} elements, the second over a drawn extra denominator so
+    that the pair usually has different denominators."""
+    n = draw(st.sampled_from([3, 5]))
+    a, b = draw(ring_elements(n)), draw(ring_elements(n))
+    return a, b.scale(QQ(1, draw(st.integers(1, 12))))
+
+
+@given(element_pairs(), rationals)
+def test_integer_core_matches_fraction_oracles(pair, c):
+    """diff, laplacian, scale, + and - on integer numerators give the part
+    tables the Fraction-per-term operators give."""
+    a, b = pair
+    fa, fb = fraction_parts(a), fraction_parts(b)
+    for i in range(1, a.n + 1):
+        assert fraction_parts(a.diff(i)) == fraction_diff(fa, i)
+    assert fraction_parts(a.laplacian()) == fraction_laplacian(fa, a.n)
+    assert fraction_parts(a.scale(c)) == fraction_scale(fa, c)
+    assert fraction_parts(b.scale(c)) == fraction_scale(fb, c)
+    assert fraction_parts(a + b) == fraction_add(fa, fb)
+    assert fraction_parts(a - b) == fraction_add(fa, fb, -1)
+    assert fraction_parts(-b) == fraction_scale(fb, -1)
 
 
 @given(ring_elements())
