@@ -20,7 +20,7 @@ from functools import cache
 from math import lcm
 
 from .errors import require_int
-from .ring import QQ, RadialRingElement, qq
+from .ring import QQ, RadialRingElement, _layout, qq
 
 _Q0 = QQ(0)
 
@@ -49,10 +49,30 @@ def _merge_sign(left: tuple, right: tuple) -> int:
     return -1 if inv % 2 else 1
 
 
+@cache
+def _raise_targets(idx: tuple, n: int) -> tuple:
+    """(i, I, odd) for each i in 1..n outside idx: dx^i wedge dx^idx =
+    (-1)^odd dx^I with I = idx and i sorted together."""
+    out = []
+    pos = 0          # entries of idx below i: dx^i moves past them
+    for i in range(1, n + 1):
+        if pos < len(idx) and idx[pos] == i:
+            pos += 1
+        else:
+            out.append((i, idx[:pos] + (i,) + idx[pos:], pos % 2))
+    return tuple(out)
+
+
+@cache
+def _lower_targets(idx: tuple) -> tuple:
+    """(i_t, idx without i_t, t odd) for each entry i_t of idx, t 0-based."""
+    return tuple((i, idx[:t] + idx[t + 1:], t % 2) for t, i in enumerate(idx))
+
+
 def _accumulate(out: dict, key: tuple, term: RadialRingElement,
                 negate: bool = False) -> None:
     """out[key] += -term if negate else term.  Sums that cancel stay in out
-    as zero elements; the Form constructor drops them."""
+    as zero elements; Form._of drops them."""
     if negate:
         term = -term
     cur = out.get(key)
@@ -88,6 +108,16 @@ class Form:
         self.components = comps
         self._sphere = None
 
+    @classmethod
+    def _of(cls, n: int, q: int, components: dict) -> "Form":
+        """The rank-q form of components that are valid by construction:
+        strictly increasing index tuples of length q in 1..n mapped to
+        RadialRingElements.  Zero elements are dropped."""
+        f = object.__new__(cls)
+        f.n, f.q, f._sphere = n, q, None
+        f.components = {idx: el for idx, el in components.items() if el.terms}
+        return f
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -117,10 +147,10 @@ class Form:
         out = dict(self.components)
         for idx, el in other.components.items():
             _accumulate(out, idx, el)
-        return Form(self.n, self.q, out)
+        return Form._of(self.n, self.q, out)
 
     def __neg__(self) -> "Form":
-        return Form(self.n, self.q, {i: -e for i, e in self.components.items()})
+        return Form._of(self.n, self.q, {i: -e for i, e in self.components.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -129,11 +159,11 @@ class Form:
         c = qq(c)
         if not c:
             return Form.zero(self.n, self.q)
-        return Form(self.n, self.q, {i: e.scale(c) for i, e in self.components.items()})
+        return Form._of(self.n, self.q, {i: e.scale(c) for i, e in self.components.items()})
 
     def mul_r_power(self, b: int) -> "Form":
-        return Form(self.n, self.q,
-                    {i: e.mul_r_power(b) for i, e in self.components.items()})
+        return Form._of(self.n, self.q,
+                        {i: e.mul_r_power(b) for i, e in self.components.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Form) and self.n == other.n
@@ -149,24 +179,20 @@ class Form:
         for idx, el in self.components.items():
             comp = tuple(i for i in full if i not in idx)
             _accumulate(out, comp, el, _merge_sign(idx, comp) < 0)
-        return Form(self.n, self.n - self.q, out)
+        return Form._of(self.n, self.n - self.q, out)
 
     # -- differential operators ----------------------------------------------
 
     def _raise_rank(self, add_into) -> "Form":
         """sum_i dx^i wedge (op_i f), where add_into(el, table, i, k) adds
-        k * el.den * op_i(el) to an integer part table in normal form: every
-        component enters over the lcm of the component denominators."""
+        k * el.den * op_i(el) to a term table in normal form: every component
+        enters over the lcm of the component denominators."""
         den = self._common_den()
         tables: dict = {}
         for idx, el in self.components.items():
             k = den // el.den
-            for i in range(1, self.n + 1):
-                if i in idx:
-                    continue
-                pos = sum(1 for j in idx if j < i)
-                add_into(el, tables.setdefault(tuple(sorted(idx + (i,))), {}),
-                         i, -k if pos % 2 else k)
+            for i, target, odd in _raise_targets(idx, self.n):
+                add_into(el, tables.setdefault(target, {}), i, -k if odd else k)
         return self._from_tables(self.q + 1, tables, den)
 
     def _lower_rank(self, add_into) -> "Form":
@@ -175,19 +201,18 @@ class Form:
         tables: dict = {}
         for idx, el in self.components.items():
             k = den // el.den
-            for t, i in enumerate(idx):
-                add_into(el, tables.setdefault(idx[:t] + idx[t + 1:], {}),
-                         i, -k if t % 2 else k)
+            for i, target, odd in _lower_targets(idx):
+                add_into(el, tables.setdefault(target, {}), i, -k if odd else k)
         return self._from_tables(self.q - 1, tables, den)
 
     def _common_den(self) -> int:
         return lcm(*(el.den for el in self.components.values()))
 
     def _from_tables(self, q: int, tables: dict, den: int) -> "Form":
-        """The rank-q form of integer part tables over den; each component's
-        content is divided out once."""
-        return Form(self.n, q, {idx: RadialRingElement._from_table(self.n, t, den)
-                                for idx, t in tables.items() if t})
+        """The rank-q form of term tables over den; each component's content
+        is divided out once."""
+        return Form._of(self.n, q, {idx: RadialRingElement._from_table(self.n, t, den)
+                                    for idx, t in tables.items() if t})
 
     def rot(self) -> "Form":
         """Exterior derivative; GradeError at top rank."""
@@ -210,8 +235,8 @@ class Form:
         Each coefficient part r^b p, p homogeneous of degree m, maps to
         r^b Delta p + b (2m + b + n - 2) r^(b-2) p (RadialRingElement.laplacian).
         """
-        return Form(self.n, self.q,
-                    {idx: el.laplacian() for idx, el in self.components.items()})
+        return Form._of(self.n, self.q,
+                        {idx: el.laplacian() for idx, el in self.components.items()})
 
     # -- radial operators ----------------------------------------------------
 
@@ -248,20 +273,20 @@ class Form:
                 piece = el.homogeneous_part(d)
                 slot = out.setdefault(d, {})
                 slot[idx] = piece
-        return {d: Form(self.n, self.q, comps) for d, comps in sorted(out.items())}
+        return {d: Form._of(self.n, self.q, comps) for d, comps in sorted(out.items())}
 
     # -- sphere pairing cache ------------------------------------------------
 
     def _sphere_entry(self, idx: tuple) -> tuple:
         """(restriction, memo) of component idx: its sphere restriction
-        {alpha: c}, computed once, and the memo alpha -> avg_S(x^alpha *
-        restriction) that sphere_inner_product fills."""
+        {packed alpha: c}, computed once, and the memo packed alpha ->
+        avg_S(x^alpha * restriction) that sphere_inner_product fills."""
         cache = self._sphere
         if cache is None:
             cache = self._sphere = {}
         entry = cache.get(idx)
         if entry is None:
-            entry = cache[idx] = (self.components[idx].sphere_restriction(), {})
+            entry = cache[idx] = (self.components[idx]._sphere_terms(), {})
         return entry
 
     # -- serialization -------------------------------------------------------
@@ -333,15 +358,24 @@ def monomial_average(alpha: tuple, n: int) -> QQ:
     return QQ(num) / QQ(den)
 
 
+@cache
+def _packed_average(alpha: int, n: int) -> QQ:
+    """monomial_average of a packed exponent key."""
+    return monomial_average(_layout(n).alpha(alpha), n)
+
+
 def sphere_inner_product(a: Form, b: Form) -> QQ:
     """Exact average over the unit sphere of the pointwise component pairing.
 
     Linear in a's terms: each term c x^alpha of a's restriction contributes
     c * avg_S(x^alpha * b's restriction), an entry of b's memo that is
-    filled through monomial_average on first use (Form._sphere_entry)."""
+    filled through monomial_average on first use (Form._sphere_entry).  The
+    restrictions are keyed by packed exponents, so x^alpha x^beta is the sum
+    of two keys, and it averages to zero when a digit is odd."""
     if a.n != b.n or a.q != b.q:
         raise ValueError("mismatched shapes in sphere inner product")
     n = a.n
+    odd = _layout(n).odd
     total = _Q0
     for idx in a.components:
         if idx not in b.components:
@@ -352,9 +386,9 @@ def sphere_inner_product(a: Form, b: Form) -> QQ:
             if avg is None:
                 avg = _Q0
                 for beta, cb in pb.items():
-                    m = monomial_average(tuple(x + y for x, y in zip(alpha, beta)), n)
-                    if m:
-                        avg += cb * m
+                    gamma = alpha + beta
+                    if not gamma & odd:
+                        avg += cb * _packed_average(gamma, n)
                 memo[alpha] = avg
             if avg:
                 total += ca * avg
@@ -377,23 +411,22 @@ def sphere_gram(forms: list) -> list:
 
 def coordinate_vectors(forms: list) -> tuple[list, list]:
     """Return (keys, vectors): a shared coordinate key list and one exact
-    coefficient vector per form.  Key = (component tuple, degree, r_exp,
-    monomial), sorted; canonical because ring elements are normal forms."""
-    keyset = set()
+    coefficient vector per form.  Key = (component tuple, packed term key),
+    sorted by component and then by term key, which is the order of
+    (component, degree, r_exp, monomial); canonical because ring elements are
+    normal forms."""
+    per_comp: dict = {}
     for f in forms:
         for idx, el in f.components.items():
-            for (d, bb), poly in el.parts.items():
-                for alpha in poly:
-                    keyset.add((idx, d, bb, alpha))
-    keys = sorted(keyset)
+            per_comp.setdefault(idx, set()).update(el.terms)
+    keys = [(idx, key) for idx in sorted(per_comp) for key in sorted(per_comp[idx])]
     pos = {k: i for i, k in enumerate(keys)}
     vecs = []
     for f in forms:
         v = [_Q0] * len(keys)
         for idx, el in f.components.items():
             den = el.den
-            for (d, bb), poly in el.parts.items():
-                for alpha, c in poly.items():
-                    v[pos[(idx, d, bb, alpha)]] = QQ(c, den)
+            for key, c in el.terms.items():
+                v[pos[(idx, key)]] = QQ(c, den)
         vecs.append(v)
     return keys, vecs

@@ -22,7 +22,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension, require_schema)
@@ -30,23 +30,23 @@ from .forms import Form, R_op, T_op, coordinate_vectors
 from .linalg import nullspace, rref
 from .ring import QQ, RadialRingElement, monomials
 
-_Q0 = QQ(0)
-
 
 # ---------------------------------------------------------------------------
 # coordinate helpers
 # ---------------------------------------------------------------------------
 
 def form_from_coordinates(n: int, q: int, keys: list, vec: list) -> Form:
-    """Inverse of coordinate_vectors for a single vector."""
+    """Inverse of coordinate_vectors for a single vector: each component's
+    term table is built over the lcm of its denominators."""
     raw: dict = {}
-    for (idx, d, b, alpha), c in zip(keys, vec):
-        if not c:
-            continue
-        parts = raw.setdefault(idx, {})
-        poly = parts.setdefault((d, b), {})
-        poly[alpha] = poly.get(alpha, _Q0) + c
-    comps = {idx: RadialRingElement(n, parts) for idx, parts in raw.items()}
+    for (idx, key), c in zip(keys, vec):
+        if c:
+            raw.setdefault(idx, {})[key] = c
+    comps = {}
+    for idx, terms in raw.items():
+        den = lcm(*(c.denominator for c in terms.values()))
+        comps[idx] = RadialRingElement._from_table(
+            n, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den)
     return Form(n, q, comps)
 
 

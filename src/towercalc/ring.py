@@ -3,16 +3,44 @@
 Elements live in Q[x_1..x_n][r, r^-1] modulo the relation r^2 = x_1^2 + ... +
 x_n^2.  An element is stored as integer numerators over one denominator,
 
-    (1 / den) * sum_{(d, b)}  r^b * p_{d,b}(x)
+    (1 / den) * sum  c * r^b * x^alpha,
 
-where p_{d,b} is a homogeneous polynomial of degree d - b with Python-int
-coefficients that is *reduced*: no monomial of p_{d,b} has x_1-exponent >= 2.
-Reduced polynomials are the remainders of division by r^2 - sum x_i^2 (leading
-monomial x_1^2 under graded lex).  den is positive and shares no factor with
-all the numerators together (the layout of FLINT's fmpq_poly); zero has no
-parts and den 1.  So this representation is a canonical normal form: two
-elements are equal in the quotient ring iff their part tables and
-denominators are identical.
+where every monomial is *reduced*: its x_1-exponent is at most 1.  Reduced
+monomials are the remainders of division by r^2 - sum x_i^2 (leading monomial
+x_1^2 under graded lex).  den is positive and shares no factor with all the
+numerators together (the layout of FLINT's fmpq_poly); zero has no terms and
+den 1.  So this representation is a canonical normal form: two elements are
+equal in the quotient ring iff their term tables and denominators are
+identical.
+
+Packed monomials.  The terms are one dict {key: int numerator}.  A key packs
+the total degree d = b + |alpha|, the r exponent b and the exponents alpha
+into one Python int of DIGIT_BITS-bit digits, x_1 most significant:
+
+    key = d * U_d + (b + R_OFFSET) * U_b + sum_j alpha_j * u_j,
+
+    u_j = 2^(DIGIT_BITS (n - j)),  U_b = 2^(DIGIT_BITS n),  U_d = 2^DIGIT_BITS U_b.
+
+d is the top field and may be negative; the r field is offset by R_OFFSET =
+2^(DIGIT_BITS - 2) so that it stays non-negative.  Integer order of keys is
+therefore the order of the tuples (d, b, alpha), and every operator moves a
+term by one integer offset: d/dx_j takes key - U_d - u_j, the radial term
+b r^(b-2) x_j of d/dx_j takes key - U_d - 2 U_b + u_j, the rewrite
+x_1^2 = r^2 - x_2^2 - ... - x_n^2 adds n - 1 fixed offsets, multiplication by
+r^s adds s (U_d + U_b), restriction to the sphere is key & (U_b - 1), and the
+product of two monomials is the sum of their keys less R_OFFSET U_b.  The
+parts property shows the old {(d, b): {alpha: int}} table.
+
+Packing bound.  The constructor, from_poly, from_records and r_power admit
+exponents 0..MAX_EXP and r exponents -MAX_EXP..MAX_EXP, MAX_EXP = 2^16 - 1,
+in their input and in its normal form, and raise ValueError on anything
+else; __mul__ checks its own result against the same bound, and mul_r_power
+refuses a result whose r field leaves its range.  With DIGIT_BITS = 32 the sum
+of two admitted monomials (a product, or a term of the sphere pairing) has
+digits below 2^17 and never carries.  diff, add_diff_into, add_var_into and
+laplacian move a digit or the r field by at most 2 per application and do
+not check: a carry out of an admitted element takes more than 2^29 of them
+applied in sequence.
 
 All arithmetic is exact.  The operators add and multiply integer numerators
 and divide out the content once per result.  Rationals cross the boundary as
@@ -25,12 +53,20 @@ from __future__ import annotations
 
 import itertools
 import re
+import struct
 from fractions import Fraction as QQ
+from functools import cache, reduce
 from math import gcd, lcm
+from operator import or_
 
 from .errors import require_int
 
 _Q0 = QQ(0)
+
+DIGIT_BITS = 32
+MAX_EXP = (1 << 16) - 1
+R_OFFSET = 1 << (DIGIT_BITS - 2)
+_DIGIT = (1 << DIGIT_BITS) - 1
 
 
 def qq(value) -> QQ:
@@ -78,93 +114,12 @@ def reduced_monomials(n: int, degree: int):
     return [alpha for alpha in monomials(n, degree) if alpha[0] <= 1]
 
 
-# ---------------------------------------------------------------------------
-# plain polynomial helpers: a polynomial is a dict {exponent tuple: int}, zero
-# coefficients never stored; a part table maps (degree, r_exp) to one.
-# ---------------------------------------------------------------------------
-
-def _padd_into(acc: dict, poly: dict) -> None:
-    for alpha, c in poly.items():
-        new = acc.get(alpha, 0) + c
-        if new:
-            acc[alpha] = new
-        else:
-            acc.pop(alpha, None)
-
-
-def _pmul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            g = tuple(x + y for x, y in zip(a, b))
-            new = out.get(g, 0) + ca * cb
-            if new:
-                out[g] = new
-            else:
-                out.pop(g, None)
-    return out
-
-
-def _add_term(table: dict, key: tuple, alpha: tuple, c: int) -> None:
-    """table[key][alpha] += c for c != 0, dropping cancelled terms and
-    emptied parts."""
-    poly = table.get(key)
-    if poly is None:
-        table[key] = {alpha: c}
-        return
-    new = poly.get(alpha, 0) + c
-    if new:
-        poly[alpha] = new
-    else:
-        del poly[alpha]
-        if not poly:
-            del table[key]
-
-
-def _add_var_times(table: dict, key: tuple, p: dict, j: int, k: int) -> None:
-    """table[key] += k * x_j * p for a reduced p (j 0-based), in normal form.
-
-    x_j * p stays reduced unless j = 0 and a monomial already holds x_1; that
-    x_1^2 * x^beta is r^2 * x^beta - sum_{l>=2} x_l^2 * x^beta, one step.
-    """
-    d, b = key
-    for alpha, c in p.items():
-        c *= k
-        e = alpha[j]
-        if j or not e:
-            _add_term(table, key, alpha[:j] + (e + 1,) + alpha[j + 1:], c)
-            continue
-        beta = (0,) + alpha[1:]
-        _add_term(table, (d, b + 2), beta, c)
-        for t in range(1, len(alpha)):
-            _add_term(table, key, beta[:t] + (beta[t] + 2,) + beta[t + 1:], -c)
-
-
-def _content(table: dict, g: int) -> int:
-    """gcd of g and every numerator of the table."""
-    for poly in table.values():
-        if g == 1:
-            break
-        g = gcd(g, *poly.values())
-    return g
-
-
-def _normalized(table: dict, den: int) -> tuple:
-    """(table, den) with their common factor divided out, the table in place;
-    den is 1 when the table is empty."""
-    g = _content(table, den)
-    if g != 1:
-        for poly in table.values():
-            for alpha in poly:
-                poly[alpha] //= g
-    return table, den // g
-
-
 def reduce_poly(p: dict, n: int) -> dict:
     """Divide by x_1^2 + ... + x_n^2 repeatedly; only adds and subtracts.
 
-    Returns {r_offset: reduced poly} with p = sum_k (sum x^2)^(k/2) * poly_k,
-    offsets even, every returned polynomial free of x_1-exponents >= 2.
+    p is a plain polynomial {exponent tuple: coefficient}.  Returns
+    {r_offset: reduced poly} with p = sum_k (sum x^2)^(k/2) * poly_k, offsets
+    even, every returned polynomial free of x_1-exponents >= 2.
     """
     out: dict = {}
     cur = {a: c for a, c in p.items() if c}
@@ -197,68 +152,167 @@ def reduce_poly(p: dict, n: int) -> dict:
     return out
 
 
-def _reduce_table(n: int, raw: dict) -> dict:
-    """The normal-form part table of a raw integer table {(d, b): poly}."""
-    out: dict = {}
-    for (d, b), poly in raw.items():
-        for off, red in reduce_poly(poly, n).items():
-            key = (d, b + off)
-            if key in out:
-                _padd_into(out[key], red)
-                if not out[key]:
-                    del out[key]
-            else:
-                out[key] = red
-    return out
+# ---------------------------------------------------------------------------
+# the packed layout of one variable count
+# ---------------------------------------------------------------------------
+
+class _Layout:
+    """Digit positions and the fixed key offsets for n variables."""
+
+    __slots__ = ("shifts", "units", "sb", "ub", "sd", "ud", "alpha_mask",
+                 "odd", "over", "r_guard", "x1_sq", "steps", "diff_var", "diff_sq",
+                 "digits")
+
+    def __init__(self, n: int):
+        self.shifts = tuple(DIGIT_BITS * (n - 1 - j) for j in range(n))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.sb = DIGIT_BITS * n
+        self.ub = 1 << self.sb
+        self.sd = self.sb + DIGIT_BITS
+        self.ud = 1 << self.sd
+        self.alpha_mask = self.ub - 1
+        # the exponent digits as big-endian unsigned 32-bit fields
+        self.digits = struct.Struct(f">{n}I")
+        # bit 0 of every exponent digit: a monomial with one of them set has
+        # an odd exponent
+        self.odd = sum(self.units)
+        # the bits of an exponent digit above MAX_EXP
+        self.over = sum((_DIGIT - MAX_EXP) * u for u in self.units)
+        # the top bit of the r field, set by a field value outside
+        # [0, 2^(DIGIT_BITS - 1))
+        self.r_guard = (1 << (DIGIT_BITS - 1)) << self.sb
+        # x_1^2 x^beta = r^2 x^beta - sum_{l>=2} x_l^2 x^beta, as the offsets
+        # from the key of x_1^2 x^beta of its n terms: (+r^2, -x_2^2, ...)
+        u1 = self.units[0]
+        self.x1_sq = (2 * self.ub - 2 * u1,) + tuple(2 * u - 2 * u1 for u in self.units[1:])
+        # the offsets of d/dx_j: x_j times a term is key + steps[j], d/dx_j of
+        # x^alpha is key - steps[j], b r^(b-2) x_j x^alpha is key - diff_var[j],
+        # and b r^(b-2) x_l^2 x^beta from d/dx_1 of r^b x_1 x^beta is
+        # key - diff_sq[l - 2]
+        self.steps = tuple(self.ud + u for u in self.units)
+        self.diff_var = tuple(self.ud + 2 * self.ub - u for u in self.units)
+        self.diff_sq = tuple(self.ud + 2 * self.ub + u1 - 2 * u for u in self.units[1:])
+
+    def pack(self, d: int, b: int, alpha: tuple) -> int:
+        """The key of r^b x^alpha in part d; each exponent in 0..2^32 - 1."""
+        return ((d << self.sd) + ((b + R_OFFSET) << self.sb)
+                + int.from_bytes(self.digits.pack(*alpha), "big"))
+
+    def unpack(self, key: int) -> tuple:
+        """(d, b, alpha) of a key."""
+        return (key >> self.sd, (key >> self.sb & _DIGIT) - R_OFFSET, self.alpha(key))
+
+    def alpha(self, key: int) -> tuple:
+        """The exponent tuple of a key (or of a packed alpha)."""
+        return self.digits.unpack((key & self.alpha_mask).to_bytes(self.digits.size, "big"))
+
+    def admitted(self, key: int) -> bool:
+        """Every exponent of the key in 0..MAX_EXP and its r exponent in
+        -MAX_EXP..MAX_EXP."""
+        return (not key & self.over
+                and -MAX_EXP <= (key >> self.sb & _DIGIT) - R_OFFSET <= MAX_EXP)
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
+def _check_monomial(n: int, d: int, b: int, alpha: tuple) -> None:
+    """A raw input monomial r^b x^alpha in part (d, b) is within the packing
+    bound and of the part's degree."""
+    if n < 1:
+        raise ValueError(f"variable count {n} < 1")
+    if len(alpha) != n:
+        raise ValueError("exponent tuple length != n")
+    if not all(0 <= e <= MAX_EXP for e in alpha):
+        raise ValueError(f"exponents {alpha} outside 0..{MAX_EXP}")
+    if not -MAX_EXP <= b <= MAX_EXP:
+        raise ValueError(f"r exponent {b} outside -{MAX_EXP}..{MAX_EXP}")
+    if sum(alpha) != d - b:
+        raise ValueError(f"part ({d},{b}) holds monomial {alpha} of degree "
+                         f"{sum(alpha)}, expected {d - b}")
+
+
+def _refuse_unadmitted(table: dict, layout: _Layout, what: str) -> None:
+    for key in table:
+        if not layout.admitted(key):
+            d, b, alpha = layout.unpack(key)
+            raise ValueError(f"{what} holds r^{b} x^{alpha}, outside the packing "
+                             f"bound: exponents 0..{MAX_EXP}, |r exponent| <= {MAX_EXP}")
+
+
+def _normalized(table: dict, den: int) -> tuple:
+    """(table, den) with their common factor divided out, the table in place;
+    den is 1 when the table is empty."""
+    if den != 1:
+        g = gcd(den, *table.values())
+        if g != 1:
+            for key in table:
+                table[key] //= g
+            den //= g
+    return table, den
 
 
 class RadialRingElement:
     """Canonical element of Q[x][r, r^-1] / (r^2 - sum x_i^2).
 
-    parts maps (total_degree, r_exp) -> reduced homogeneous polynomial
-    {alpha: int numerator} of degree total_degree - r_exp, and den is the one
-    positive denominator of every numerator, with gcd(den, numerators) = 1.
-    RadialRingElement(n, raw) canonicalizes a raw table of rational (int or
-    QQ) coefficients.  Do not mutate parts after construction.
+    terms maps packed keys (see the module docstring) to nonzero int
+    numerators of reduced monomials, and den is the one positive denominator
+    of every numerator, with gcd(den, numerators) = 1.
+    RadialRingElement(n, raw) canonicalizes a raw table
+    {(total_degree, r_exp): {alpha: rational}} of int or QQ coefficients.  Do
+    not mutate terms after construction.
     """
 
-    __slots__ = ("n", "parts", "den")
+    __slots__ = ("n", "terms", "den")
 
     def __init__(self, n: int, parts: dict | None = None):
         self.n = n
-        self.parts, self.den = _normalized(*self._canonicalize(n, parts or {}))
+        self.terms, self.den = self._canonicalize(n, parts or {})
 
     @staticmethod
     def _canonicalize(n: int, raw: dict) -> tuple:
-        """(normal-form integer table, den) of a raw rational table: the
+        """(normal-form term table, den) of a raw rational table: the
         denominators are cleared once, then reduction runs on integers."""
         den = 1
-        for poly in raw.values():
-            for c in poly.values():
+        for (d, b), poly in raw.items():
+            for alpha, c in poly.items():
+                _check_monomial(n, d, b, alpha)
                 if den % c.denominator:
                     den = lcm(den, c.denominator)
-        ints: dict = {}
+        table: dict = {}
+        if not any(raw.values()):
+            return table, 1
+        layout = _layout(n)
+        reduced = False
         for (d, b), poly in raw.items():
-            for alpha in poly:
-                if sum(alpha) != d - b:
-                    raise ValueError(
-                        f"part ({d},{b}) holds monomial {alpha} of degree "
-                        f"{sum(alpha)}, expected {d - b}")
-            ints[(d, b)] = {alpha: c.numerator * (den // c.denominator)
-                            for alpha, c in poly.items()}
-        return _reduce_table(n, ints), den
+            ints = {alpha: c.numerator * (den // c.denominator) for alpha, c in poly.items()}
+            if any(alpha[0] > 1 for alpha in ints):
+                reduced = True
+                offsets = reduce_poly(ints, n).items()
+            else:
+                offsets = ((0, ints),)
+            for off, red in offsets:
+                for alpha, c in red.items():
+                    key = layout.pack(d, b + off, alpha)
+                    table[key] = table.get(key, 0) + c
+        table, den = _normalized({key: c for key, c in table.items() if c}, den)
+        if reduced:
+            _refuse_unadmitted(table, layout, "the normal form")
+        return table, den
 
     @classmethod
-    def _make(cls, n: int, parts: dict, den: int) -> "RadialRingElement":
-        """The element (parts, den), already canonical."""
+    def _make(cls, n: int, terms: dict, den: int) -> "RadialRingElement":
+        """The element (terms, den), already canonical."""
         el = object.__new__(cls)
-        el.n, el.parts, el.den = n, parts, den
+        el.n, el.terms, el.den = n, terms, den
         return el
 
     @classmethod
     def _from_table(cls, n: int, table: dict, den: int) -> "RadialRingElement":
-        """table / den for a fresh integer part table in normal form (reduced,
-        no zero term, no empty part) and den > 0."""
+        """table / den for a fresh term table in normal form (reduced
+        monomials, no zero numerator) and den > 0."""
         return cls._make(n, *_normalized(table, den))
 
     # -- constructors -------------------------------------------------------
@@ -280,8 +334,8 @@ class RadialRingElement:
         """x_i as an element; i is 1-based."""
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} outside 1..{n}")
-        alpha = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls._make(n, {(1, 0): {alpha: 1}}, 1)
+        layout = _layout(n)
+        return cls._make(n, {layout.pack(1, 0, (0,) * n) + layout.units[i - 1]: 1}, 1)
 
     @classmethod
     def from_poly(cls, n: int, poly: dict) -> "RadialRingElement":
@@ -293,22 +347,36 @@ class RadialRingElement:
 
     @classmethod
     def r_power(cls, n: int, b: int, coef=1) -> "RadialRingElement":
+        if not -MAX_EXP <= b <= MAX_EXP:
+            raise ValueError(f"r exponent {b} outside -{MAX_EXP}..{MAX_EXP}")
         c = qq(coef)
         if not c:
             return cls.zero(n)
-        return cls._make(n, {(b, b): {(0,) * n: c.numerator}}, c.denominator)
+        return cls._make(n, {_layout(n).pack(b, b, (0,) * n): c.numerator}, c.denominator)
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def parts(self) -> dict:
+        """The terms as a fresh table {(degree, r_exp): {alpha: int numerator}}."""
+        layout = _layout(self.n)
+        out: dict = {}
+        for key, c in self.terms.items():
+            d, b, alpha = layout.unpack(key)
+            out.setdefault((d, b), {})[alpha] = c
+        return out
+
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.terms
 
     def degrees(self):
         """Sorted list of total degrees present."""
-        return sorted({d for d, _ in self.parts})
+        sd = _layout(self.n).sd
+        return sorted({key >> sd for key in self.terms})
 
     def homogeneous_part(self, d: int) -> "RadialRingElement":
-        kept = {k: dict(p) for k, p in self.parts.items() if k[0] == d}
+        sd = _layout(self.n).sd
+        kept = {key: c for key, c in self.terms.items() if key >> sd == d}
         return RadialRingElement._from_table(self.n, kept, self.den)
 
     # -- arithmetic ----------------------------------------------------------
@@ -319,20 +387,14 @@ class RadialRingElement:
             raise ValueError("mixed variable counts")
         den = lcm(self.den, other.den)
         ka, kb = den // self.den, sign * (den // other.den)
-        out = {k: {a: c * ka for a, c in p.items()} for k, p in self.parts.items()}
-        for k, p in other.parts.items():
-            acc = out.get(k)
-            if acc is None:
-                out[k] = {a: c * kb for a, c in p.items()}
-                continue
-            for a, c in p.items():
-                new = acc.get(a, 0) + c * kb
-                if new:
-                    acc[a] = new
-                else:
-                    del acc[a]
-            if not acc:
-                del out[k]
+        out = {key: c * ka for key, c in self.terms.items()} if ka != 1 else dict(self.terms)
+        get = out.get
+        for key, c in other.terms.items():
+            new = get(key, 0) + c * kb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
         return RadialRingElement._from_table(self.n, out, den)
 
     def __add__(self, other):
@@ -343,8 +405,8 @@ class RadialRingElement:
     __radd__ = __add__
 
     def __neg__(self):
-        out = {k: {a: -c for a, c in p.items()} for k, p in self.parts.items()}
-        return RadialRingElement._make(self.n, out, self.den)
+        return RadialRingElement._make(
+            self.n, {key: -c for key, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, RadialRingElement):
@@ -352,23 +414,32 @@ class RadialRingElement:
         return self._plus(other, -1)
 
     def __mul__(self, other):
+        """Product of two elements (or scale by a rational).  A product of
+        reduced monomials holds x_1 at most twice, so one rewrite of x_1^2
+        reduces it; the result must be within the packing bound."""
         if not isinstance(other, RadialRingElement):
             return self.scale(other)
         if self.n != other.n:
             raise ValueError("mixed variable counts")
-        raw: dict = {}
-        for (d1, b1), p1 in self.parts.items():
-            for (d2, b2), p2 in other.parts.items():
-                prod = _pmul(p1, p2)
-                if not prod:
-                    continue
-                key = (d1 + d2, b1 + b2)
-                if key in raw:
-                    _padd_into(raw[key], prod)
+        layout = _layout(self.n)
+        base = R_OFFSET << layout.sb
+        s1 = layout.shifts[0]
+        r_off, *sq_offs = layout.x1_sq
+        table: dict = {}
+        get = table.get
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key, c = ka + kb - base, ca * cb
+                if key >> s1 & _DIGIT == 2:
+                    table[key + r_off] = get(key + r_off, 0) + c
+                    for off in sq_offs:
+                        table[key + off] = get(key + off, 0) - c
                 else:
-                    raw[key] = prod
-        return RadialRingElement._from_table(self.n, _reduce_table(self.n, raw),
-                                             self.den * other.den)
+                    table[key] = get(key, 0) + c
+        product = RadialRingElement._from_table(
+            self.n, {key: c for key, c in table.items() if c}, self.den * other.den)
+        _refuse_unadmitted(product.terms, layout, "the product")
+        return product
 
     __rmul__ = __mul__
 
@@ -380,14 +451,23 @@ class RadialRingElement:
             return RadialRingElement.zero(self.n)
         u, v = c.numerator, c.denominator
         g = gcd(u, self.den)
-        h = _content(self.parts, v)
+        h = gcd(v, *self.terms.values()) if v != 1 else 1
         u //= g
-        out = {k: {a: cc // h * u for a, cc in p.items()} for k, p in self.parts.items()}
+        if h == 1:
+            out = self.terms if u == 1 else {key: cc * u for key, cc in self.terms.items()}
+        else:
+            out = {key: cc // h * u for key, cc in self.terms.items()}
         return RadialRingElement._make(self.n, out, self.den // g * (v // h))
 
     def mul_r_power(self, b: int) -> "RadialRingElement":
-        """Multiply by r^b (a pure index shift, no reduction needed)."""
-        out = {(d + b, bb + b): dict(p) for (d, bb), p in self.parts.items()}
+        """Multiply by r^b (a pure key shift, no reduction needed)."""
+        layout = _layout(self.n)
+        if not -R_OFFSET < b < R_OFFSET:
+            raise ValueError(f"r exponent shift {b} outside the packing bound")
+        shift = b * (layout.ud + layout.ub)
+        out = {key + shift: c for key, c in self.terms.items()}
+        if reduce(or_, out, 0) & layout.r_guard:
+            raise ValueError(f"r^{b} times this element leaves the packing bound")
         return RadialRingElement._make(self.n, out, self.den)
 
     def diff(self, i: int) -> "RadialRingElement":
@@ -399,48 +479,149 @@ class RadialRingElement:
         return RadialRingElement._from_table(self.n, table, self.den)
 
     def add_diff_into(self, table: dict, i: int, k: int = 1) -> None:
-        """table += k * den * d/dx_i(self), for an integer part table in normal
-        form: the derivative's numerators over den, times the integer k.
+        """table += k * den * d/dx_i(self), for a term table in normal form:
+        the derivative's numerators over den, times the integer k.
 
-        d/dx_i (r^b p) = r^b d_i p + b r^(b-2) x_i p: d_i of a reduced p is
-        reduced, and only x_1 p needs the one reduction step of _add_var_times.
+        d/dx_i (r^b x^alpha) = alpha_i r^b x^(alpha - e_i) + b r^(b-2) x_i x^alpha.
+        Only x_1 x^alpha with alpha_1 = 1 needs the rewrite of x_1^2; then
+        d/dx_1 (r^b x_1 x^beta) = (1 + b) r^b x^beta - b sum_{l>=2} r^(b-2) x_l^2 x^beta.
         """
+        layout = _layout(self.n)
         j = i - 1
-        for (d, b), p in self.parts.items():
-            key = (d - 1, b)
-            for alpha, c in p.items():
-                e = alpha[j]
+        sj, sb = layout.shifts[j], layout.sb
+        d_off, v_off = layout.steps[j], layout.diff_var[j]
+        get = table.get
+        if j:
+            for key, c in self.terms.items():
+                c *= k
+                e = key >> sj & _DIGIT
                 if e:
-                    _add_term(table, key, alpha[:j] + (e - 1,) + alpha[j + 1:], c * (k * e))
-            if b:
-                _add_var_times(table, (d - 1, b - 2), p, j, k * b)
+                    nk = key - d_off
+                    new = get(nk, 0) + c * e
+                    if new:
+                        table[nk] = new
+                    else:
+                        del table[nk]
+                b = (key >> sb & _DIGIT) - R_OFFSET
+                if b:
+                    nk = key - v_off
+                    new = get(nk, 0) + c * b
+                    if new:
+                        table[nk] = new
+                    else:
+                        del table[nk]
+            return
+        sq_offs = layout.diff_sq
+        for key, c in self.terms.items():
+            c *= k
+            b = (key >> sb & _DIGIT) - R_OFFSET
+            if key >> sj & _DIGIT:
+                if b != -1:
+                    nk = key - d_off
+                    new = get(nk, 0) + c * (1 + b)
+                    if new:
+                        table[nk] = new
+                    else:
+                        del table[nk]
+                if b:
+                    c *= -b
+                    for off in sq_offs:
+                        nk = key - off
+                        new = get(nk, 0) + c
+                        if new:
+                            table[nk] = new
+                        else:
+                            del table[nk]
+            elif b:
+                nk = key - v_off
+                new = get(nk, 0) + c * b
+                if new:
+                    table[nk] = new
+                else:
+                    del table[nk]
 
     def add_var_into(self, table: dict, i: int, k: int = 1) -> None:
-        """table += k * den * x_i * self, for an integer part table in normal form."""
-        for (d, b), p in self.parts.items():
-            _add_var_times(table, (d + 1, b), p, i - 1, k)
+        """table += k * den * x_i * self, for a term table in normal form.
+
+        x_i x^alpha stays reduced unless i = 1 and alpha_1 = 1; then
+        x_1 (r^b x_1 x^beta) = r^(b+2) x^beta - sum_{l>=2} r^b x_l^2 x^beta.
+        """
+        layout = _layout(self.n)
+        j = i - 1
+        off = layout.steps[j]
+        get = table.get
+        if j:
+            for key, c in self.terms.items():
+                nk = key + off
+                new = get(nk, 0) + c * k
+                if new:
+                    table[nk] = new
+                else:
+                    del table[nk]
+            return
+        s1 = layout.shifts[0]
+        r_off, *sq_offs = (off + x for x in layout.x1_sq)
+        for key, c in self.terms.items():
+            c *= k
+            if key >> s1 & _DIGIT:
+                nk = key + r_off
+                new = get(nk, 0) + c
+                if new:
+                    table[nk] = new
+                else:
+                    del table[nk]
+                for x in sq_offs:
+                    nk = key + x
+                    new = get(nk, 0) - c
+                    if new:
+                        table[nk] = new
+                    else:
+                        del table[nk]
+            else:
+                nk = key + off
+                new = get(nk, 0) + c
+                if new:
+                    table[nk] = new
+                else:
+                    del table[nk]
 
     def laplacian(self) -> "RadialRingElement":
-        """Sum of second partials by the closed form, part by part:
+        """Sum of second partials by the closed form, term by term:
 
-            Delta(r^b p) = r^b Delta p + b (2 deg p + b + n - 2) r^(b-2) p,
+            Delta(r^b x^alpha) = r^b Delta x^alpha
+                                 + b (2 |alpha| + b + n - 2) r^(b-2) x^alpha,
 
-        where d_1^2 p = 0 for a reduced p, so every term is already reduced.
+        where d_1^2 x^alpha = 0 for a reduced monomial, so every term is
+        already reduced.
         """
         n = self.n
+        layout = _layout(n)
+        sb, sd = layout.sb, layout.sd
+        digit_offs = [(s, 2 * layout.ud + 2 * u)
+                      for s, u in zip(layout.shifts[1:], layout.units[1:])]
+        r_off = 2 * layout.ud + 2 * layout.ub
         table: dict = {}
-        for (d, b), p in self.parts.items():
-            key = (d - 2, b)
-            for alpha, c in p.items():
-                for j in range(1, n):
-                    e = alpha[j]
-                    if e >= 2:
-                        _add_term(table, key, alpha[:j] + (e - 2,) + alpha[j + 1:],
-                                  c * (e * (e - 1)))
-            k = b * (2 * (d - b) + b + n - 2)
-            if k:
-                for alpha, c in p.items():
-                    _add_term(table, (d - 2, b - 2), alpha, c * k)
+        get = table.get
+        for key, c in self.terms.items():
+            for s, off in digit_offs:
+                e = key >> s & _DIGIT
+                if e >= 2:
+                    nk = key - off
+                    new = get(nk, 0) + c * (e * (e - 1))
+                    if new:
+                        table[nk] = new
+                    else:
+                        del table[nk]
+            b = (key >> sb & _DIGIT) - R_OFFSET
+            if b:
+                kk = b * (2 * ((key >> sd) - b) + b + n - 2)
+                if kk:
+                    nk = key - r_off
+                    new = get(nk, 0) + c * kk
+                    if new:
+                        table[nk] = new
+                    else:
+                        del table[nk]
         return RadialRingElement._from_table(n, table, self.den)
 
     def __eq__(self, other):
@@ -448,40 +629,68 @@ class RadialRingElement:
             if other == 0:
                 return self.is_zero()
             return NotImplemented
-        return self.n == other.n and self.den == other.den and self.parts == other.parts
+        return self.n == other.n and self.den == other.den and self.terms == other.terms
 
     __hash__ = None
 
     # -- sphere restriction and evaluation -----------------------------------
 
-    def sphere_restriction(self) -> dict:
-        """Restrict to the unit sphere: drop r powers, sum the part
-        polynomials; {alpha: QQ}."""
+    def _sphere_terms(self) -> dict:
+        """Restriction to the unit sphere: drop r powers and sum the terms of
+        each monomial; {packed alpha: QQ}."""
+        mask = _layout(self.n).alpha_mask
         out: dict = {}
-        for p in self.parts.values():
-            _padd_into(out, p)
-        return {alpha: QQ(c, self.den) for alpha, c in out.items()}
+        get = out.get
+        for key, c in self.terms.items():
+            a = key & mask
+            new = get(a, 0) + c
+            if new:
+                out[a] = new
+            else:
+                del out[a]
+        return {a: QQ(c, self.den) for a, c in out.items()}
+
+    def sphere_restriction(self) -> dict:
+        """Restrict to the unit sphere: drop r powers, sum the terms of each
+        monomial; {alpha: QQ}."""
+        layout = _layout(self.n)
+        return {layout.alpha(a): c for a, c in self._sphere_terms().items()}
 
     # -- serialization -------------------------------------------------------
 
     def _record_items(self) -> list:
-        """[((degree, r_exp), [(alpha, QQ coef), ...]), ...] in the order
-        to_records writes them: parts sorted, terms by descending grlex."""
-        return [(key, [(alpha, QQ(c, self.den)) for alpha, c in
-                       sorted(self.parts[key].items(), key=lambda kv: grlex_key(kv[0]),
-                              reverse=True)])
-                for key in sorted(self.parts)]
+        """[((degree, r_exp), [(alpha, p, q), ...]), ...] in the order
+        to_records writes them: parts ascending, terms by descending grlex,
+        each coefficient p/q in lowest terms with q > 0."""
+        layout = _layout(self.n)
+        sb, den, terms = layout.sb, self.den, self.terms
+        groups: dict = {}
+        for key in sorted(terms, reverse=True):
+            groups.setdefault(key >> sb, []).append(key)
+        out = []
+        for keys in reversed(groups.values()):
+            items = []
+            for key in keys:
+                c = terms[key]
+                g = gcd(c, den)
+                items.append((layout.alpha(key), c // g, den // g))
+            out.append((layout.unpack(keys[0])[:2], items))
+        return out
 
     def to_records(self) -> list:
+        """The canonical encoding; each coefficient is written as qq_str
+        writes the rational p/q."""
         return [{"degree": d, "r_exp": b,
-                 "terms": [{"alpha": list(alpha), "coef": qq_str(c)} for alpha, c in terms]}
+                 "terms": [{"alpha": list(alpha), "coef": f"{p}/{q}" if q != 1 else str(p)}
+                           for alpha, p, q in terms]}
                 for (d, b), terms in self._record_items()]
 
     @classmethod
     def from_records(cls, n: int, recs: list) -> "RadialRingElement":
         """Decode records.  Only the encoding to_records writes is accepted, up
         to how each rational is spelled ("3/3" reads as 1): a term split in
-        two, a zero term or a reducible monomial is a ValueError."""
+        two, a zero term or a reducible monomial is a ValueError, and so is
+        a monomial outside the packing bound."""
         raw: dict = {}
         read = []
         for rec in recs:
@@ -490,11 +699,11 @@ class RadialRingElement:
             terms = []
             for t in rec["terms"]:
                 alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
-                if len(alpha) != n:
-                    raise ValueError("exponent tuple length != n")
+                if alpha and alpha[0] > 1:
+                    raise ValueError("stored ring element is not in the canonical encoding")
                 c = require_rational(t["coef"], "coef")
                 poly[alpha] = poly.get(alpha, _Q0) + c
-                terms.append((alpha, c))
+                terms.append((alpha, c.numerator, c.denominator))
             read.append((key, terms))
         el = cls(n, raw)
         if el._record_items() != read:
@@ -504,11 +713,12 @@ class RadialRingElement:
     # -- display -------------------------------------------------------------
 
     def __str__(self):
-        if not self.parts:
+        if not self.terms:
             return "0"
+        parts = self.parts
         chunks = []
-        for (d, b) in sorted(self.parts, key=lambda k: (k[0], -k[1])):
-            body = _poly_str(self.parts[(d, b)], self.den)
+        for (d, b) in sorted(parts, key=lambda k: (k[0], -k[1])):
+            body = _poly_str(parts[(d, b)], self.den)
             if b == 0:
                 chunks.append(body)
             else:

@@ -13,7 +13,8 @@ route:
   fraction_*           the part-table operators on Fraction coefficients, one
                        Fraction per term, as the ring computed them before its
                        integer-numerator layout: diff, rot, div, R_op, T_op,
-                       laplacian, scale, + and -, on fraction_parts tables
+                       laplacian, scale, + and -, on fraction_parts tables, and
+                       mul_r_power and the sphere restriction on the same tables
   laplacian_by_diff    sum_i of second partials per component, through
                        diff_by_canonicalize
   wedge                exterior product by the component formula, with ring
@@ -385,6 +386,24 @@ def fraction_scale(parts: dict, c) -> dict:
     if not c:
         return {}
     return {k: {a: cc * c for a, cc in p.items()} for k, p in parts.items()}
+
+
+def fraction_mul_r_power(parts: dict, s: int) -> dict:
+    """r^s * parts: every part (d, b) moves to (d + s, b + s)."""
+    return {(d + s, b + s): dict(p) for (d, b), p in parts.items()}
+
+
+def fraction_sphere_restriction(parts: dict) -> dict:
+    """The sum of the part polynomials, r = 1: {alpha: QQ}."""
+    out: dict = {}
+    for p in parts.values():
+        for alpha, c in p.items():
+            new = out.get(alpha, _Q0) + c
+            if new:
+                out[alpha] = new
+            else:
+                del out[alpha]
+    return out
 
 
 def fraction_diff(parts: dict, i: int) -> dict:

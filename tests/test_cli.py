@@ -12,7 +12,7 @@ from towercalc.cli import main
 from towercalc.expansion import MaxwellPair
 from towercalc.forms import Form
 from towercalc.indices import enumerate_excluded
-from towercalc.ring import qq
+from towercalc.ring import MAX_EXP, qq
 from towercalc.towers import TowerContext, TowerIndex, build_tower_pair
 
 
@@ -693,3 +693,56 @@ def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("q\\sigma")
+
+
+def _one_term_form(alpha, r_exp):
+    """An n=3 rank-1 form document holding r^r_exp x^alpha dx^1 alone."""
+    return {"n": 3, "q": 1, "components": {"1": [
+        {"degree": r_exp + sum(alpha), "r_exp": r_exp,
+         "terms": [{"alpha": list(alpha), "coef": "1"}]}]}}
+
+
+@pytest.mark.parametrize("alpha, r_exp", [
+    ((0, -1, 2), 0), ((0, MAX_EXP + 1, 0), 0), ((0, 0, 1), MAX_EXP + 1),
+    ((0, 0, 1), -MAX_EXP - 1)],
+    ids=["negative-exponent", "exponent-past-bound", "r-exp-past-bound",
+         "negative-r-exp-past-bound"])
+def test_classify_refuses_monomials_outside_the_packing_bound(tmp_path, capsys, alpha, r_exp):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(_one_term_form(alpha, r_exp)))
+    code, out, err = run(capsys, "classify", "--input", str(path), "--weight", "0")
+    assert (code, out) == (2, "")
+    assert f"invalid input in {path}" in err
+
+
+@pytest.mark.parametrize("alpha, r_exp", [
+    ((0, MAX_EXP, 0), 0), ((0, 0, 1), MAX_EXP), ((0, 0, 1), -MAX_EXP)],
+    ids=["exponent-at-bound", "r-exp-at-bound", "negative-r-exp-at-bound"])
+def test_classify_admits_monomials_at_the_packing_bound(tmp_path, capsys, alpha, r_exp):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(_one_term_form(alpha, r_exp)))
+    code, out, err = run(capsys, "classify", "--input", str(path), "--weight", "0")
+    assert code == 0
+    assert json.loads(out)["kind"] == "classification"
+
+
+def test_seed_cache_entry_with_a_negative_exponent_is_a_miss(tmp_path, capsys, monkeypatch):
+    from towercalc import harmonic
+    argv = ("build", "--n", "3", "--q", "1", "--sigma", "1", "--floors", "2")
+    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    entry = tmp_path / "seeds_n3_q1_h1.json"
+    doc = json.loads(entry.read_text())
+    # move the last exponent of the first term onto x_2, one past it: the
+    # degree stays, x_3's exponent becomes -1
+    term = next(iter(doc["forms"][0]["components"].values()))[0]["terms"][0]
+    alpha = term["alpha"]
+    alpha[1] += alpha[2] + 1
+    alpha[2] = -1
+    entry.write_text(json.dumps(doc))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (0, want)
+    assert "recomputing" in err

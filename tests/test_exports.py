@@ -45,6 +45,19 @@ def test_public_and_traced_names_resolve():
     assert missing == []
 
 
+def test_tracer_counts_members_and_terms_through_the_parts_view():
+    """The tracer's towers.members and towers.terms read RadialRingElement.parts;
+    they must count what the family writes."""
+    from towercalc.towers import build_tower_pair
+    fam = build_tower_pair(5, 2, 1, 1, 4)
+    members, terms, _ = _load_tracer()._bits_and_terms(fam)
+    forms = [f for floors in (fam.d_floors, fam.r_floors) for floor in floors for f in floor]
+    assert members == len(forms)
+    assert terms == sum(len(rec["terms"]) for f in forms for el in f.components.values()
+                        for rec in el.to_records())
+    assert terms > 0
+
+
 def test_cli_imports_only_the_standard_library():
     """towercalc has no dependencies and one rational type, fractions.Fraction."""
     probe = ("import sys; before = set(sys.modules); import towercalc.cli; "

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +198,26 @@ def test_only_polynomial_spaces_are_cached_on_disk(tmp_path, monkeypatch):
     assert mu(9, 4, 6) == 160524
     assert seed_basis(3, 1, -4).dim == 5 and seed_basis(3, 1, -2).dim == 1
     assert sorted(f.name for f in tmp_path.iterdir()) == ["seeds_n3_q1_h1.json"]
+
+
+SEED_SPACE_DIGESTS = Path(__file__).with_name("seed_space_digests.json")
+
+
+def test_seed_space_bytes_are_pinned(monkeypatch):
+    """sha256 of the JSON of every seed space (every rank; degrees sigma,
+    -sigma-n and 1-n) at n=3 sigma <= 5 and n=5 sigma <= 3, solved cold.  The
+    digests were taken from the part-table ring: the coordinate order of
+    forms.coordinate_vectors fixes each canonical basis, so these bytes guard
+    it."""
+    monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    got = {}
+    for n, sigma_max in ((3, 5), (5, 3)):
+        degrees = {1 - n} | {d for s in range(sigma_max + 1) for d in (s, -s - n)}
+        for q in range(n + 1):
+            for degree in sorted(degrees):
+                text = json.dumps(seed_basis(n, q, degree).to_obj())
+                got[f"n{n}_q{q}_d{degree}"] = hashlib.sha256(text.encode()).hexdigest()
+    want = json.loads(SEED_SPACE_DIGESTS.read_text())
+    assert sorted(k for k in want if got.get(k) != want[k]) == []
+    assert got.keys() == want.keys()

@@ -7,11 +7,15 @@ import sympy
 from hypothesis import given, strategies as st
 
 from towercalc.forms import Form, R_op, T_op
-from towercalc.ring import (QQ, RadialRingElement, monomials, qq, qq_str,
-                            reduce_poly, reduced_monomials)
+from towercalc.ring import (MAX_EXP, QQ, R_OFFSET, RadialRingElement, _layout,
+                            monomials, qq, qq_str, reduce_poly,
+                            reduced_monomials)
 
-from oracles import (diff_by_canonicalize, fraction_add, fraction_diff,
-                     fraction_laplacian, fraction_parts, fraction_scale)
+from oracles import (diff_by_canonicalize, fraction_add, fraction_add_var_into,
+                     fraction_diff, fraction_div, fraction_form_parts,
+                     fraction_laplacian, fraction_mul_r_power, fraction_parts,
+                     fraction_r_op, fraction_rot, fraction_scale,
+                     fraction_sphere_restriction, fraction_t_op)
 
 R = RadialRingElement
 
@@ -265,3 +269,161 @@ def test_sphere_restriction_sums_layers():
     el = R.variable(n, 1) * R.variable(n, 1)
     rest = el.sphere_restriction()
     assert rest == {(0, 0, 0): qq(1), (0, 2, 0): qq(-1), (0, 0, 2): qq(-1)}
+
+
+# ---------------------------------------------------------------------------
+# the packed layout against the Fraction oracles, and its bound
+# ---------------------------------------------------------------------------
+
+# exponents of x_2..x_n and r exponents small or near the packing bound; the
+# margin of 2 leaves room for the x_1^2 rewrite, which adds 2 to one of them
+near_bound_exponents = st.one_of(st.integers(0, 3), st.integers(MAX_EXP - 6, MAX_EXP - 2))
+near_bound_r_exponents = st.one_of(st.integers(-4, 4), st.integers(-MAX_EXP, -MAX_EXP + 4),
+                                   st.integers(MAX_EXP - 6, MAX_EXP - 2))
+
+
+@st.composite
+def packed_elements(draw, n):
+    """Sums of c r^b x^alpha with x_1-exponent 0..2 (2 takes the reduction),
+    b of both signs, exponents and b small or near the bound, and c over
+    1, 2, 3, 5 or 7."""
+    raw: dict = {}
+    for _ in range(draw(st.integers(1, 4))):
+        alpha = (draw(st.integers(0, 2)),) + tuple(
+            draw(near_bound_exponents) for _ in range(n - 1))
+        b = draw(near_bound_r_exponents)
+        c = QQ(draw(st.integers(-9, 9).filter(bool)), draw(st.sampled_from([1, 2, 3, 5, 7])))
+        raw.setdefault((b + sum(alpha), b), {})[alpha] = c
+    return R(n, raw)
+
+
+@given(st.sampled_from([3, 5, 7]).flatmap(
+    lambda n: st.tuples(packed_elements(n), packed_elements(n))),
+    rationals, st.integers(-4, 4))
+def test_packed_operators_match_fraction_oracles(pair, c, s):
+    a, b = pair
+    n = a.n
+    fa, fb = fraction_parts(a), fraction_parts(b)
+    for i in range(1, n + 1):
+        assert fraction_parts(a.diff(i)) == fraction_diff(fa, i)
+        for k in (1, -1):
+            table: dict = {}
+            a.add_var_into(table, i, k)
+            want: dict = {}
+            fraction_add_var_into(fa, want, i, k)
+            assert fraction_parts(R._from_table(n, table, a.den)) == want
+            # a second pass of the opposite sign cancels every term
+            a.add_var_into(table, i, -k)
+            assert table == {}
+    assert fraction_parts(a.laplacian()) == fraction_laplacian(fa, n)
+    assert fraction_parts(a.scale(c)) == fraction_scale(fa, c)
+    assert fraction_parts(a + b) == fraction_add(fa, fb)
+    assert fraction_parts(a - b) == fraction_add(fa, fb, -1)
+    assert fraction_parts(-b) == fraction_scale(fb, -1)
+    assert fraction_parts(a.mul_r_power(s)) == fraction_mul_r_power(fa, s)
+    assert a.sphere_restriction() == fraction_sphere_restriction(fa)
+    assert R.from_records(n, a.to_records()) == a
+    for el in (a, a.diff(1), a.laplacian(), a + b, a.mul_r_power(s)):
+        assert_normal_form(el)
+
+
+@st.composite
+def packed_forms(draw):
+    n = draw(st.sampled_from([3, 5, 7]))
+    q = draw(st.integers(0, n))
+    idxs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), q))),
+                         min_size=1, max_size=3, unique=True))
+    return Form(n, q, {idx: draw(packed_elements(n)) for idx in idxs})
+
+
+@given(packed_forms())
+def test_packed_form_operators_match_fraction_oracles(f):
+    if f.q < f.n:
+        assert fraction_form_parts(f.rot()) == fraction_rot(f)
+    if f.q > 0:
+        assert fraction_form_parts(f.div()) == fraction_div(f)
+    assert fraction_form_parts(R_op(f)) == fraction_r_op(f)
+    assert fraction_form_parts(T_op(f)) == fraction_t_op(f)
+
+
+def test_key_order_is_the_order_of_degree_r_exponent_and_monomial():
+    layout = _layout(3)
+    terms = [(d, b, alpha) for b in (-MAX_EXP, -3, 0, 2, MAX_EXP)
+             for e in (0, 1, 3) for alpha in monomials(3, e) for d in (b + e,)]
+    keys = [layout.pack(*t) for t in terms]
+    assert [layout.unpack(k) for k in keys] == terms
+    assert sorted(keys) == [layout.pack(*t) for t in sorted(terms)]
+
+
+def test_sum_of_two_admitted_monomials_does_not_carry():
+    """The sphere pairing and __mul__ add two keys: every digit of the sum
+    is the sum of the digits."""
+    for n in (3, 5, 7):
+        layout = _layout(n)
+        top = (MAX_EXP,) * n
+        a = layout.pack(n * MAX_EXP + MAX_EXP, MAX_EXP, top) & layout.alpha_mask
+        assert layout.alpha(a + a) == (2 * MAX_EXP,) * n
+        k = layout.pack(-MAX_EXP, -MAX_EXP, (0,) * n)
+        assert layout.unpack(k + k - (R_OFFSET << layout.sb)) == (
+            -2 * MAX_EXP, -2 * MAX_EXP, (0,) * n)
+
+
+def _one_term_records(alpha, b):
+    return [{"degree": b + sum(alpha), "r_exp": b,
+             "terms": [{"alpha": list(alpha), "coef": "1"}]}]
+
+
+@pytest.mark.parametrize("alpha, b", [
+    ((0, MAX_EXP, 0), 0), ((1, 0, MAX_EXP), -3), ((0, 0, 0), MAX_EXP),
+    ((0, 0, 0), -MAX_EXP), ((1, MAX_EXP, MAX_EXP), -MAX_EXP)])
+def test_monomials_at_the_packing_bound_are_admitted(alpha, b):
+    el = R.from_records(3, _one_term_records(alpha, b))
+    assert el.parts == {(b + sum(alpha), b): {alpha: 1}}
+    assert R(3, {(b + sum(alpha), b): {alpha: qq(1)}}) == el
+    assert el.to_records() == _one_term_records(alpha, b)
+    if b == 0:
+        assert R.from_poly(3, {alpha: 1}) == el
+    if alpha == (0, 0, 0):
+        assert R.r_power(3, b) == el
+
+
+@pytest.mark.parametrize("alpha, b", [
+    ((0, -1, 2), 0), ((-1, 1, 1), 0), ((0, MAX_EXP + 1, 0), 0),
+    ((1, 0, MAX_EXP + 1), -3), ((0, 0, 0), MAX_EXP + 1), ((0, 0, 0), -MAX_EXP - 1)],
+    ids=["negative", "negative-x1", "past-bound", "past-bound-x3", "r-past-bound",
+         "negative-r-past-bound"])
+def test_monomials_outside_the_packing_bound_are_refused(alpha, b):
+    with pytest.raises(ValueError):
+        R.from_records(3, _one_term_records(alpha, b))
+    with pytest.raises(ValueError):
+        R(3, {(b + sum(alpha), b): {alpha: qq(1)}})
+    if b == 0:
+        with pytest.raises(ValueError):
+            R.from_poly(3, {alpha: 1})
+    if alpha == (0, 0, 0):
+        with pytest.raises(ValueError):
+            R.r_power(3, b)
+
+
+def test_normal_forms_and_products_past_the_bound_are_refused():
+    # x_1^2 x_2^MAX_EXP = r^2 x_2^MAX_EXP - x_2^(MAX_EXP+2) - x_2^MAX_EXP x_3^2
+    with pytest.raises(ValueError, match="packing bound"):
+        R.from_poly(3, {(2, MAX_EXP, 0): 1})
+    at_bound = R.from_poly(3, {(0, MAX_EXP, 0): 1})
+    x1, x2 = R.variable(3, 1), R.variable(3, 2)
+    assert (R.from_poly(3, {(0, MAX_EXP - 1, 0): 1}) * x2) == at_bound
+    for a, b in ((at_bound, x2), (R.from_poly(3, {(1, MAX_EXP, 0): 1}), x1),
+                 (R.r_power(3, MAX_EXP), R.r_power(3, 1)),
+                 (R.r_power(3, -MAX_EXP), R.r_power(3, -1))):
+        with pytest.raises(ValueError, match="packing bound"):
+            a * b
+
+
+def test_mul_r_power_refuses_to_leave_the_r_field():
+    top, bottom = R.r_power(3, MAX_EXP), R.r_power(3, -MAX_EXP)
+    # an exact shift past MAX_EXP is kept: only the field's range is checked
+    assert top.mul_r_power(1000).parts == {(MAX_EXP + 1000, MAX_EXP + 1000): {(0, 0, 0): 1}}
+    for el, s in ((top, R_OFFSET - 1), (bottom, 1 - R_OFFSET), (top, R_OFFSET),
+                  (bottom, -R_OFFSET)):
+        with pytest.raises(ValueError, match="packing bound"):
+            el.mul_r_power(s)
