@@ -42,6 +42,13 @@ def _odd_dimension(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text}")
+    return int(text)
+
+
 def _emit(out: str | None, text: str) -> None:
     if out:
         with open(out, "w") as fh:
@@ -233,7 +240,9 @@ def _profile_seed_from_obj(obj, n: int, q: int) -> tuple:
     """(f_coeffs, g_coeffs) index -> coefficient maps of a profile seed.  The
     f rows name rank-q D-line members and the g rows rank-(q+1) R-line
     members; a repeated index or a member m past its floor's multiplicity
-    is refused."""
+    is refused, and so is a document of another kind."""
+    if obj.get("kind", "profile_seed") != "profile_seed":
+        raise ValueError(f"expected a profile_seed document, not kind {obj['kind']!r}")
     maps = []
     for key, rank, line in (("f_coeffs", q, "D"), ("g_coeffs", q + 1, "R")):
         coeffs = {}
@@ -281,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True, help="family rank (D-line rank)")
     p.add_argument("--sign", default="both", help="plus, minus or both")
     p.add_argument("--sigma", type=int, default=None, help="single seed order")
-    p.add_argument("--sigma-max", type=int, default=0,
+    p.add_argument("--sigma-max", type=_count, default=0,
                    help="build seed orders 0..sigma-max (ignored with --sigma)")
     p.add_argument("--floors", type=int, default=3)
     common(p)
@@ -318,17 +327,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_odd_dimension, required=True)
     p.add_argument("--q", type=int, required=True, help="form rank")
     p.add_argument("--line", default="D", choices=["D", "R"])
-    p.add_argument("--max-floor", type=int, required=True)
+    p.add_argument("--max-floor", type=_count, required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--both-signs", action="store_true",
                    help="include growing-side indices (requires --sigma-max)")
-    p.add_argument("--sigma-max", type=int, default=None)
+    p.add_argument("--sigma-max", type=_count, default=None)
     common(p)
     p.set_defaults(func=cmd_indices)
 
     p = sub.add_parser("weights", help="list exceptional weights")
     p.add_argument("--n", type=_odd_dimension, required=True)
-    p.add_argument("--list", type=int, default=5, help="entries per branch")
+    p.add_argument("--list", type=_count, default=5, help="entries per branch")
     common(p)
     p.set_defaults(func=cmd_weights)
 
@@ -346,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="seed-space dimension table as CSV")
     p.add_argument("--n", type=_odd_dimension, required=True)
-    p.add_argument("--sigma-max", type=int, default=3)
+    p.add_argument("--sigma-max", type=_count, default=3)
     common(p)
     p.set_defaults(func=cmd_dims)
 

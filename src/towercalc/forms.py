@@ -64,7 +64,7 @@ def _raise_targets(idx: tuple, n: int) -> tuple:
 
 
 @cache
-def _lower_targets(idx: tuple) -> tuple:
+def _lower_targets(idx: tuple, n: int) -> tuple:
     """(i_t, idx without i_t, t odd) for each entry i_t of idx, t 0-based."""
     return tuple((i, idx[:t] + idx[t + 1:], t % 2) for t, i in enumerate(idx))
 
@@ -183,27 +183,18 @@ class Form:
 
     # -- differential operators ----------------------------------------------
 
-    def _raise_rank(self, add_into) -> "Form":
-        """sum_i dx^i wedge (op_i f), where add_into(el, table, i, k) adds
+    def _rank_step(self, q: int, targets, add_into) -> "Form":
+        """The rank-q form sum_I sum_{(i, J, odd) in targets(I, n)}
+        (-1)^odd op_i(f_I) dx^J, where add_into(el, table, i, k) adds
         k * el.den * op_i(el) to a term table in normal form: every component
         enters over the lcm of the component denominators."""
         den = self._common_den()
         tables: dict = {}
         for idx, el in self.components.items():
             k = den // el.den
-            for i, target, odd in _raise_targets(idx, self.n):
+            for i, target, odd in targets(idx, self.n):
                 add_into(el, tables.setdefault(target, {}), i, -k if odd else k)
-        return self._from_tables(self.q + 1, tables, den)
-
-    def _lower_rank(self, add_into) -> "Form":
-        """sum_t (-1)^(t-1) op_{i_t}(f_I) dx^(I without i_t), add_into as above."""
-        den = self._common_den()
-        tables: dict = {}
-        for idx, el in self.components.items():
-            k = den // el.den
-            for i, target, odd in _lower_targets(idx):
-                add_into(el, tables.setdefault(target, {}), i, -k if odd else k)
-        return self._from_tables(self.q - 1, tables, den)
+        return self._from_tables(q, tables, den)
 
     def _common_den(self) -> int:
         return lcm(*(el.den for el in self.components.values()))
@@ -218,7 +209,7 @@ class Form:
         """Exterior derivative; GradeError at top rank."""
         if self.q == self.n:
             raise GradeError(f"rot undefined on rank-{self.q} forms in dimension {self.n}")
-        return self._raise_rank(RadialRingElement.add_diff_into)
+        return self._rank_step(self.q + 1, _raise_targets, RadialRingElement.add_diff_into)
 
     def div(self) -> "Form":
         """Codifferential by the index formula; GradeError at rank 0.
@@ -227,7 +218,7 @@ class Form:
         """
         if self.q == 0:
             raise GradeError("div undefined on rank-0 forms")
-        return self._lower_rank(RadialRingElement.add_diff_into)
+        return self._rank_step(self.q - 1, _lower_targets, RadialRingElement.add_diff_into)
 
     def laplacian(self) -> "Form":
         """Componentwise sum of second partials (sign: Delta = rot div + div rot).
@@ -244,13 +235,13 @@ class Form:
         """R_op: wedge with sum x_i dx^i.  Rank n input gives the zero form."""
         if self.q == self.n:
             return Form.zero(self.n, self.n)
-        return self._raise_rank(RadialRingElement.add_var_into)
+        return self._rank_step(self.q + 1, _raise_targets, RadialRingElement.add_var_into)
 
     def radial_contraction(self) -> "Form":
         """T_op: contraction with the Euler field.  Rank 0 gives the zero 0-form."""
         if self.q == 0:
             return Form.zero(self.n, 0)
-        return self._lower_rank(RadialRingElement.add_var_into)
+        return self._rank_step(self.q - 1, _lower_targets, RadialRingElement.add_var_into)
 
     # -- homogeneity ---------------------------------------------------------
 

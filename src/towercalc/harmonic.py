@@ -22,13 +22,13 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension, require_schema)
 from .forms import Form, R_op, T_op, coordinate_vectors
 from .linalg import nullspace, rref
-from .ring import QQ, RadialRingElement, monomials
+from .ring import QQ, RadialRingElement, _layout, reduced_monomials
 
 
 # ---------------------------------------------------------------------------
@@ -64,27 +64,25 @@ def echelon_normalize(forms: list) -> list:
 def kernel_of_operators(candidates: list, operators: list) -> list:
     """Canonical basis of {F in span(candidates) : op(F) = 0 for all ops}.
 
-    operators are callables Form -> Form.
+    candidates are one-term forms with coefficient 1 in descending coordinate
+    order (the order of coordinate_vectors, reversed); operators are callables
+    Form -> Form.  Every row of an RREF is zero left of its pivot, so each
+    free-variable vector of nullspace has its 1 at its free unknown and is
+    otherwise nonzero only at pivot unknowns of larger coordinates: read in
+    reverse, they are the reduced-row-echelon basis in coordinate order.
     """
-    candidates = [c for c in candidates if not c.is_zero()]
     if not candidates:
         return []
+    n, q = candidates[0].n, candidates[0].q
+    keys = [(idx, key) for c in candidates for idx, el in c.components.items()
+            for key in el.terms]
     rows = []
     for op in operators:
-        images = [op(c) for c in candidates]
-        _, vecs = coordinate_vectors(images)
+        _, vecs = coordinate_vectors([op(c) for c in candidates])
         if vecs and vecs[0]:
-            for row in zip(*vecs):
-                rows.append(list(row))
-    combos = nullspace(rows, ncols=len(candidates))
-    kernel = []
-    for v in combos:
-        total = Form.zero(candidates[0].n, candidates[0].q)
-        for c, cand in zip(v, candidates):
-            if c:
-                total = total + cand.scale(c)
-        kernel.append(total)
-    return echelon_normalize(kernel)
+            rows.extend(list(row) for row in zip(*vecs))
+    return [form_from_coordinates(n, q, keys, v)
+            for v in reversed(nullspace(rows, ncols=len(candidates)))]
 
 
 def _biclosed_operators(n: int, q: int) -> list:
@@ -167,11 +165,17 @@ def clear_cache() -> None:
 
 
 def _solve_polynomial(n: int, q: int, degree: int) -> list:
-    """Seeds at degree >= 0: the kernel over all monomial rank-q forms."""
-    cands = [Form(n, q, {idx: RadialRingElement.from_poly(n, {alpha: 1})})
-             for idx in itertools.combinations(range(1, n + 1), q)
-             for alpha in monomials(n, degree)]
-    return kernel_of_operators(cands, _biclosed_operators(n, q))
+    """Seeds at degree >= 0: the kernel over the coordinate basis of the
+    rank-q forms, r^(degree-e) x^beta dx^I with beta reduced and e = |beta| of
+    the parity of degree, in descending coordinate order."""
+    layout = _layout(n)
+    coords = sorted(((idx, layout.pack(degree, degree - e, beta))
+                     for idx in itertools.combinations(range(1, n + 1), q)
+                     for e in range(degree % 2, degree + 1, 2)
+                     for beta in reduced_monomials(n, e)), reverse=True)
+    return kernel_of_operators(
+        [Form._of(n, q, {idx: RadialRingElement._make(n, {key: 1}, 1)}) for idx, key in coords],
+        _biclosed_operators(n, q))
 
 
 def _solve_decaying(n: int, q: int, sigma: int) -> list:
@@ -237,8 +241,8 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
         forms = _solve_decaying(n, q, -degree - n)
     else:
         ghost = RadialRingElement.r_power(n, -n)
-        forms = echelon_normalize([R_op(Form.from_scalar(ghost)) if q == 1
-                                   else T_op(Form.dx(n, range(1, n + 1), ghost))])
+        forms = [R_op(Form.from_scalar(ghost)) if q == 1
+                 else T_op(Form.dx(n, range(1, n + 1), ghost))]
     if len(forms) != dim:
         raise ConsistencyError(f"seed space at n={n} q={q} degree={degree}: "
                                f"found dim {len(forms)}, expected {dim}")
@@ -261,7 +265,8 @@ def mu(n: int, q: int, sigma: int) -> int:
         (n+2 sigma) (n+sigma-1)! / (sigma! (q-1)! (n-q-1)! (sigma+q) (n+sigma-q))
 
     for 1 <= q <= n-1 (the O(n)-module of highest weight (sigma+1, 1^(q-1)),
-    Ikeda-Taniguchi 1978), and [sigma = 0] at q in {0, n}.
+    Ikeda-Taniguchi 1978), and [sigma = 0] at q in {0, n}.  The factorials
+    are taken as binomials, whose cost grows with n, not with sigma.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -270,9 +275,8 @@ def mu(n: int, q: int, sigma: int) -> int:
         raise InvalidRankError(f"rank {q} outside 0..{n}")
     if q in (0, n):
         return 1 if sigma == 0 else 0
-    return ((n + 2 * sigma) * factorial(n + sigma - 1)
-            // (factorial(sigma) * factorial(q - 1) * factorial(n - q - 1)
-                * (sigma + q) * (n + sigma - q)))
+    return ((n + 2 * sigma) * (n - 1) * comb(n - 2, q - 1) * comb(n + sigma - 1, sigma)
+            // ((sigma + q) * (n + sigma - q)))
 
 
 def harmonic_dimension(n: int, degree: int) -> int:

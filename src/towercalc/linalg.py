@@ -60,16 +60,7 @@ def nullspace(rows: list, ncols: int | None = None) -> list:
     Canonical free-variable parametrization: one basis vector per non-pivot
     column, with a 1 in that column.
     """
-    if not rows:
-        if not ncols:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [_Q0] * ncols
-            v[j] = _Q1
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else ncols or 0
     red, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]

@@ -6,7 +6,10 @@ route:
 
   hodge_div            codifferential through the Hodge star, (-1)^((q-1)n) * rot *
   laplacian_factored   rot div + div rot, with the grade guards
-  direct_seed_basis    escalating general ansatz r^(degree-e) * (reduced monomials)
+  kernel_by_echelon    kernel of operators over any candidates: nullspace, the
+                       Form sum of each kernel vector, then echelon_normalize
+  direct_seed_basis    escalating general ansatz r^(degree-e) * (reduced monomials),
+                       solved by kernel_by_echelon
   tower_coefficient_closed   closed product form of the floor-coefficient recursion
   diff_by_canonicalize d/dx_i term by term into raw parts, then the full
                        canonicalization RadialRingElement(n, raw)
@@ -35,9 +38,9 @@ import itertools
 from towercalc.errors import (ConsistencyError, InvalidRankError,
                               require_odd_dimension)
 from towercalc.expansion import SideExpansion, tower_candidates
-from towercalc.forms import Form, monomial_average
-from towercalc.harmonic import kernel_of_operators
-from towercalc.linalg import matrix_rank, solve_posdef
+from towercalc.forms import Form, coordinate_vectors, monomial_average
+from towercalc.harmonic import echelon_normalize
+from towercalc.linalg import matrix_rank, nullspace, solve_posdef
 from towercalc.ring import QQ, RadialRingElement, reduced_monomials
 from towercalc.towers import ExceptionalFormDescriptor, TowerContext
 
@@ -70,6 +73,28 @@ def _hodge_biclosed_operators(n: int, q: int) -> list:
     return ops
 
 
+def kernel_by_echelon(candidates: list, operators: list) -> list:
+    """Canonical basis of {F in span(candidates) : op(F) = 0 for all ops}, for
+    candidates in any order and of any shape: each nullspace vector is summed
+    as a Form, and the sums are echelon-normalized."""
+    candidates = [c for c in candidates if not c.is_zero()]
+    if not candidates:
+        return []
+    rows = []
+    for op in operators:
+        _, vecs = coordinate_vectors([op(c) for c in candidates])
+        if vecs and vecs[0]:
+            rows.extend(list(row) for row in zip(*vecs))
+    kernel = []
+    for v in nullspace(rows, ncols=len(candidates)):
+        total = Form.zero(candidates[0].n, candidates[0].q)
+        for c, cand in zip(v, candidates):
+            if c:
+                total = total + cand.scale(c)
+        kernel.append(total)
+    return echelon_normalize(kernel)
+
+
 def direct_seed_basis(n: int, q: int, degree: int) -> tuple:
     """Canonical basis of the bi-closed rank-q forms of one degree, found by
     the escalating ansatz r^(degree-e) * (reduced monomials of degree e).
@@ -94,7 +119,7 @@ def direct_seed_basis(n: int, q: int, degree: int) -> tuple:
                 el = RadialRingElement(n, {(degree, degree - e): {alpha: _Q1}})
                 for idx in tuples:
                     cands.append(Form(n, q, {idx: el}))
-        kernel = kernel_of_operators(cands, _hodge_biclosed_operators(n, q))
+        kernel = kernel_by_echelon(cands, _hodge_biclosed_operators(n, q))
         if prev_dim is not None and len(kernel) == prev_dim:
             stable += 1
             if stable >= 2:

@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,8 @@ from towercalc.forms import Form
 from towercalc.indices import enumerate_excluded
 from towercalc.ring import MAX_EXP, qq
 from towercalc.towers import TowerContext, TowerIndex, build_tower_pair
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -583,6 +588,57 @@ def test_iterate_command(tmp_path, capsys):
     assert obj["kind"] == "iteration"
     assert len(obj["profiles"]) == 3
     assert obj["range"]["power"] == 2
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_profile_seed(), kind="maxwell_pair"),
+    dict(_profile_seed(), kind=None),
+    json.loads((ROOT / "perfbench" / "inputs" / "pair.json").read_text()),
+], ids=["kind-maxwell-pair", "kind-null", "perfbench-pair"])
+def test_iterate_refuses_a_seed_of_another_kind(tmp_path, capsys, doc):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[a.format(path=path) for a in _ITERATE_SEED])
+    assert (code, out) == (2, "")
+    assert "profile_seed" in err
+
+
+def test_iterate_reads_a_seed_without_kind(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    doc = _profile_seed()
+    del doc["kind"]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *[a.format(path=path) for a in _ITERATE_SEED])
+    assert code == 0
+    assert json.loads(out)["kind"] == "iteration"
+
+
+def test_iterate_refuses_a_huge_seed_sigma_at_once(tmp_path):
+    """The seed's multiplicity check is mu(3, 1, 10**9), a binomial, not a
+    factorial quotient that never returns."""
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(_profile_seed(sigma=10 ** 9)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "towercalc.cli"] + [a.format(path=path) for a in _ITERATE_SEED],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "internal error" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--n", "3", "--q", "1", "--sigma-max", "-1"],
+    ["dims", "--n", "3", "--sigma-max", "-1"],
+    ["weights", "--n", "3", "--list", "-2"],
+    ["indices", "--n", "3", "--q", "1", "--weight", "1", "--max-floor", "-1"],
+    ["indices", "--n", "3", "--q", "1", "--weight", "1", "--max-floor", "2",
+     "--both-signs", "--sigma-max", "-1"],
+], ids=["build-sigma-max", "dims-sigma-max", "weights-list", "indices-max-floor",
+        "indices-sigma-max"])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected an integer >= 0" in err
 
 
 def test_iterate_rejects_exceptional_weight(capsys):

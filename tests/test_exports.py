@@ -70,3 +70,27 @@ def test_cli_imports_only_the_standard_library():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def test_tracer_hooks_read_names_that_resolve(tmp_path, monkeypatch):
+    """The tracer's hooks read harmonic._CACHE, harmonic._disk_cache_path,
+    harmonic.os and TowerContext._families; a rename would break only
+    --trace 1.  Run the seed hook on each provenance and the context hook on
+    a miss and a hit."""
+    from towercalc import harmonic
+    from towercalc.towers import TowerContext
+    tracer = _load_tracer().Tracer()
+    pre, _, counted = tracer._hooks()
+    seed_pre, (ctx_pre, _) = pre["harmonic.seed"], counted["towers.ctx"]
+    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    seed_pre((3, 1, 1), {})                    # computed
+    harmonic.seed_basis(3, 1, 1)
+    seed_pre((3, 1, 1), {})                    # in memory
+    monkeypatch.setattr(harmonic, "_CACHE", {})
+    seed_pre((3, 1, 1), {})                    # on disk
+    assert tracer.counts == {"harmonic.seed.computed": 1, "harmonic.seed.disk_hits": 1}
+    ctx = TowerContext(3)
+    assert ctx_pre((ctx, 1, 1, 0, 2)) is False
+    ctx.family(1, 1, 0, 2)
+    assert ctx_pre((ctx, 1, 1, 0, 2)) is True

@@ -1,18 +1,22 @@
 import hashlib
+import itertools
 import json
 import os
+from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from towercalc import harmonic
 from towercalc.errors import ConsistencyError, InvalidRankError
-from towercalc.forms import sphere_inner_product
+from towercalc.forms import Form, coordinate_vectors, sphere_inner_product
 from towercalc.harmonic import (SeedSpace, clear_cache, echelon_normalize,
                                 harmonic_dimension, mu, seed_basis)
 from towercalc.linalg import matrix_rank
+from towercalc.ring import RadialRingElement, reduced_monomials
 
-from oracles import direct_seed_basis, radial_one_form
+from oracles import direct_seed_basis, kernel_by_echelon, radial_one_form
 
 # frozen dimension tables; the n=3 middle-rank pattern is 2*sigma + 3
 N3_MU = {(0, 0): 1, (0, 1): 0, (0, 2): 0,
@@ -40,6 +44,22 @@ def test_closed_form_mu_matches_the_polynomial_kernel(n, sigma_max):
         for sigma in range(sigma_max + 1):
             assert mu(n, q, sigma) == len(harmonic._solve_polynomial(n, q, sigma)), \
                 (n, q, sigma)
+
+
+def test_mu_matches_the_factorial_form():
+    for n in range(3, 12, 2):
+        for q in range(1, n):
+            for sigma in range(60):
+                assert mu(n, q, sigma) == (
+                    (n + 2 * sigma) * factorial(n + sigma - 1)
+                    // (factorial(sigma) * factorial(q - 1) * factorial(n - q - 1)
+                        * (sigma + q) * (n + sigma - q))), (n, q, sigma)
+
+
+def test_mu_at_a_huge_sigma_is_immediate():
+    # the factorial form never returns here; mu(5, 2, s) is a cubic in s
+    s = 10 ** 9
+    assert mu(5, 2, s) == (5 + 2 * s) * (s + 4) * (s + 1) // 2
 
 
 def test_mu_rejects_what_seed_basis_rejects():
@@ -102,6 +122,32 @@ def test_decaying_seed_members_are_biclosed(q, sigma):
                                       (2, -3), (2, -4), (2, -5)])
 def test_strategies_agree(q, degree):
     assert seed_basis(3, q, degree).forms == direct_seed_basis(3, q, degree)
+
+
+def _descending_coordinate_basis(n, q, sigma):
+    """The one-term forms r^(sigma-e) x^beta dx^I (beta reduced, e = |beta| of
+    the parity of sigma), in the order of coordinate_vectors, reversed."""
+    forms = [Form(n, q, {idx: RadialRingElement(n, {(sigma, sigma - e): {beta: 1}})})
+             for idx in itertools.combinations(range(1, n + 1), q)
+             for e in range(sigma % 2, sigma + 1, 2) for beta in reduced_monomials(n, e)]
+    _, vecs = coordinate_vectors(forms)
+    order = sorted(range(len(forms)), key=lambda i: vecs[i].index(1), reverse=True)
+    return [forms[i] for i in order]
+
+
+@given(data=st.data())
+def test_kernel_of_operators_matches_the_echelon_route(data):
+    """The one-elimination kernel over a descending subset of the coordinate
+    basis is the canonical basis that the nullspace-sum-echelon route finds."""
+    n = data.draw(st.sampled_from([3, 5]))
+    q = data.draw(st.integers(0, n))
+    sigma = data.draw(st.integers(0, 3))
+    basis = _descending_coordinate_basis(n, q, sigma)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(basis), max_size=len(basis)))
+    cands = [f for f, k in zip(basis, keep) if k]
+    rot_only = [lambda f: f.rot()] if q < n else []
+    for ops in (harmonic._biclosed_operators(n, q), rot_only):
+        assert harmonic.kernel_of_operators(cands, ops) == kernel_by_echelon(cands, ops)
 
 
 def test_seed_space_is_echelon_normalized():
@@ -205,15 +251,19 @@ SEED_SPACE_DIGESTS = Path(__file__).with_name("seed_space_digests.json")
 
 def test_seed_space_bytes_are_pinned(monkeypatch):
     """sha256 of the JSON of every seed space (every rank; degrees sigma,
-    -sigma-n and 1-n) at n=3 sigma <= 5 and n=5 sigma <= 3, solved cold.  The
-    digests were taken from the part-table ring: the coordinate order of
+    -sigma-n and 1-n) at n=3 sigma <= 5 and n=5 sigma <= 3, and of the
+    polynomial ones (degree sigma) at n=7 sigma <= 2, solved cold.  The n=3
+    and n=5 digests were taken from the part-table ring and the n=7 ones from
+    the monomial-candidate kernel: the coordinate order of
     forms.coordinate_vectors fixes each canonical basis, so these bytes guard
     it."""
     monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
     monkeypatch.setattr(harmonic, "_CACHE", {})
     got = {}
-    for n, sigma_max in ((3, 5), (5, 3)):
-        degrees = {1 - n} | {d for s in range(sigma_max + 1) for d in (s, -s - n)}
+    for n, sigma_max, decaying in ((3, 5, True), (5, 3, True), (7, 2, False)):
+        degrees = set(range(sigma_max + 1))
+        if decaying:
+            degrees |= {1 - n} | {-s - n for s in range(sigma_max + 1)}
         for q in range(n + 1):
             for degree in sorted(degrees):
                 text = json.dumps(seed_basis(n, q, degree).to_obj())
