@@ -1,6 +1,6 @@
 """Differential forms on R^n with exact radial-ring coefficients.
 
-A Form of rank q stores nonzero components on strictly increasing 1-based
+A Form of rank q has nonzero components on strictly increasing 1-based
 index tuples of length q.  All operators are exact:
 
   rot   exterior derivative d (rank q -> q+1)
@@ -12,6 +12,25 @@ index tuples of length q.  All operators are exact:
 
 rot on rank n and div on rank 0 raise GradeError (the result leaves the
 exterior algebra).  T_op on rank 0 is the zero 0-form by convention.
+
+Flat layout.  A form is one term table {key: int numerator} over one
+positive denominator shared by all its components, with no factor common to
+the denominator and all the numerators, like a ring element (ring.py).  A key
+is a ring key with the component's dx-index set in the field above the
+degree field: bit n - i of that field is set when dx^i is *absent*, so for
+one rank, integer order of the fields is the order of the index tuples, and
+integer order of keys is the coordinate order of coordinate_vectors
+(component, degree, r exponent, monomial).  Each rank step then moves a term
+by the fixed offset of its derivative or x_i factor, plus or minus the bit
+of dx^i, with the sign (-1)^(entries of the index set below i); the records
+for each component field are built once per dimension (_targets).  The
+operators run one loop over the table and divide out the content once per
+result.
+
+No operator carries into the component field: the ring fields below it stay
+in [0, 2^32) (see the packing bound in ring.py), rot and R_op clear only a
+bit they have read as set, div and T_op set only a bit they have read as
+clear, and the Hodge star maps each field to its complement.
 """
 
 from __future__ import annotations
@@ -20,7 +39,9 @@ from functools import cache
 from math import lcm
 
 from .errors import require_int
-from .ring import QQ, RadialRingElement, _layout, qq
+from .ring import (_DIGIT, D_OFFSET, QQ, RadialRingElement, _diff_terms, _encode_records,
+                   _laplacian_terms, _layout, _normalized, _plus_terms, _record_items,
+                   _scaled_terms, _shifted_terms, _var_terms, qq)
 
 _Q0 = QQ(0)
 
@@ -39,6 +60,62 @@ def _check_tuple(idx, n, q):
         prev = i
 
 
+# ---------------------------------------------------------------------------
+# the component field
+# ---------------------------------------------------------------------------
+
+@cache
+def _field(idx: tuple, n: int) -> int:
+    """The component field of dx^idx: bit n - i set for each i not in idx."""
+    field = (1 << n) - 1
+    for i in idx:
+        field ^= 1 << (n - i)
+    return field
+
+
+@cache
+def _indices(field: int, n: int) -> tuple:
+    """The index tuple of a component field."""
+    return tuple(i for i in range(1, n + 1) if not field >> (n - i) & 1)
+
+
+class _Targets(dict):
+    """Component field -> the kernel records of one operator, made on first
+    use by make(field)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, field):
+        records = self[field] = self.make(field)
+        return records
+
+
+@cache
+def _targets(n: int, raising: bool, var: bool) -> _Targets:
+    """The records of rot (raising, d/dx_i), div, R_op (raising, x_i) or
+    T_op: for each i whose dx^i is absent (raising) or present, the term
+    moves to the component with dx^i added or removed, with sign
+    (-1)^(entries of the index set below i)."""
+    layout = _layout(n)
+    make = layout.var_target if var else layout.diff_target
+
+    def records(field):
+        out = []
+        for i in range(1, n + 1):
+            bit = 1 << (n - i)
+            if bool(field & bit) != raising:
+                continue
+            below = i - 1 - (field >> (n - i + 1)).bit_count()
+            out.append(make(i - 1, (-bit if raising else bit) << layout.sc, below % 2 == 1))
+        return tuple(out)
+
+    return _Targets(records)
+
+
 def _merge_sign(left: tuple, right: tuple) -> int:
     """Sign of sorting the concatenation of two increasing disjoint tuples."""
     inv = 0
@@ -50,79 +127,84 @@ def _merge_sign(left: tuple, right: tuple) -> int:
 
 
 @cache
-def _raise_targets(idx: tuple, n: int) -> tuple:
-    """(i, I, odd) for each i in 1..n outside idx: dx^i wedge dx^idx =
-    (-1)^odd dx^I with I = idx and i sorted together."""
-    out = []
-    pos = 0          # entries of idx below i: dx^i moves past them
-    for i in range(1, n + 1):
-        if pos < len(idx) and idx[pos] == i:
-            pos += 1
-        else:
-            out.append((i, idx[:pos] + (i,) + idx[pos:], pos % 2))
-    return tuple(out)
+def _hodge_moves(n: int) -> _Targets:
+    """Component field -> (key offset, negate) of the Hodge star: dx^I maps
+    to sign(I, I^c) dx^(I^c), whose field is the complement of I's."""
+    full = (1 << n) - 1
+    sc = _layout(n).sc
 
+    def move(field):
+        idx = _indices(field, n)
+        comp = _indices(full ^ field, n)
+        return ((full ^ field) - field) << sc, _merge_sign(idx, comp) < 0
 
-@cache
-def _lower_targets(idx: tuple, n: int) -> tuple:
-    """(i_t, idx without i_t, t odd) for each entry i_t of idx, t 0-based."""
-    return tuple((i, idx[:t] + idx[t + 1:], t % 2) for t, i in enumerate(idx))
-
-
-def _accumulate(out: dict, key: tuple, term: RadialRingElement,
-                negate: bool = False) -> None:
-    """out[key] += -term if negate else term.  Sums that cancel stay in out
-    as zero elements; Form._of drops them."""
-    if negate:
-        term = -term
-    cur = out.get(key)
-    out[key] = term if cur is None else cur + term
+    return _Targets(move)
 
 
 class Form:
-    """A rank-q form: components {strictly increasing index tuple: nonzero
-    RadialRingElement}.
+    """A rank-q form: one term table over one denominator (see the module
+    docstring).  Form(n, q, {index tuple: RadialRingElement}) is the
+    validated constructor, and components shows the same mapping, built on
+    each read.
 
-    components must not be mutated after construction.  A form caches its
-    sphere restrictions and pairings in _sphere (see _sphere_entry), which is
-    None until the form is first paired; ==, to_obj and every operator ignore
-    it, and each new Form starts without one.
+    terms must not be mutated after construction.  A form caches its
+    sphere restrictions and pairings in _sphere (see _sphere_entries), which
+    is None until the form is first paired; ==, to_obj and every operator
+    ignore it, and each new Form starts without one.
     """
 
-    __slots__ = ("n", "q", "components", "_sphere")
+    __slots__ = ("n", "q", "terms", "den", "_sphere")
 
     def __init__(self, n: int, q: int, components: dict | None = None):
         if not 0 <= q <= n:
             raise ValueError(f"form rank {q} outside 0..{n}")
-        self.n = n
-        self.q = q
-        comps = {}
-        if components:
-            for idx, el in components.items():
-                idx = tuple(idx)
-                _check_tuple(idx, n, q)
-                if not isinstance(el, RadialRingElement):
-                    raise TypeError("components must be RadialRingElement")
-                if not el.is_zero():
-                    comps[idx] = el
-        self.components = comps
-        self._sphere = None
+        comps = []
+        for idx, el in (components or {}).items():
+            idx = tuple(idx)
+            _check_tuple(idx, n, q)
+            if not isinstance(el, RadialRingElement):
+                raise TypeError("components must be RadialRingElement")
+            if el.n != n:
+                raise ValueError(f"component {idx} has {el.n} variables, the form {n}")
+            if el.terms:
+                comps.append((idx, el))
+        den = lcm(*(el.den for _, el in comps))
+        terms: dict = {}
+        if comps:
+            sc = _layout(n).sc
+            for idx, el in comps:
+                top, k = _field(idx, n) << sc, den // el.den
+                for key, c in el.terms.items():
+                    terms[top + key] = c * k
+        # each component has no common factor with its own den, so the
+        # combined table has none with the lcm
+        self.n, self.q, self.terms, self.den, self._sphere = n, q, terms, den, None
 
     @classmethod
-    def _of(cls, n: int, q: int, components: dict) -> "Form":
-        """The rank-q form of components that are valid by construction:
-        strictly increasing index tuples of length q in 1..n mapped to
-        RadialRingElements.  Zero elements are dropped."""
+    def _make(cls, n: int, q: int, terms: dict, den: int) -> "Form":
+        """The form (terms, den), already canonical."""
         f = object.__new__(cls)
-        f.n, f.q, f._sphere = n, q, None
-        f.components = {idx: el for idx, el in components.items() if el.terms}
+        f.n, f.q, f.terms, f.den, f._sphere = n, q, terms, den, None
         return f
+
+    @classmethod
+    def _from_table(cls, n: int, q: int, table: dict, den: int) -> "Form":
+        """table / den for a fresh zero-free term table of valid keys; the
+        content is divided out."""
+        return cls._make(n, q, *_normalized(table, den))
+
+    @classmethod
+    def _from_coordinates(cls, n: int, q: int, coords: dict) -> "Form":
+        """The form {key: nonzero QQ}, over the lcm of the denominators."""
+        den = lcm(*(c.denominator for c in coords.values()))
+        return cls._from_table(
+            n, q, {key: c.numerator * (den // c.denominator) for key, c in coords.items()}, den)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int, q: int) -> "Form":
-        return cls(n, q, {})
+        return cls(n, q)
 
     @classmethod
     def from_scalar(cls, el: RadialRingElement) -> "Form":
@@ -136,80 +218,84 @@ class Form:
             RadialRingElement.from_rational(n, 1 if coef is None else coef)
         return cls(n, len(idx), {idx: el})
 
-    # -- linear structure ----------------------------------------------------
+    # -- structure -----------------------------------------------------------
+
+    @property
+    def components(self) -> dict:
+        """The components as a fresh {index tuple: RadialRingElement}, in
+        index order."""
+        n = self.n
+        layout = _layout(n)
+        sc, mask = layout.sc, layout.ring_mask
+        groups: dict = {}
+        for key, c in self.terms.items():
+            groups.setdefault(key >> sc, {})[key & mask] = c
+        return {_indices(field, n): RadialRingElement._from_table(n, table, self.den)
+                for field, table in sorted(groups.items())}
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.terms
 
-    def __add__(self, other: "Form") -> "Form":
+    # -- linear structure ----------------------------------------------------
+
+    def _plus(self, other: "Form", sign: int) -> "Form":
         if self.n != other.n or self.q != other.q:
             raise ValueError("cannot add forms of different shape")
-        out = dict(self.components)
-        for idx, el in other.components.items():
-            _accumulate(out, idx, el)
-        return Form._of(self.n, self.q, out)
+        return Form._make(self.n, self.q,
+                          *_plus_terms(self.terms, self.den, other.terms, other.den, sign))
 
-    def __neg__(self) -> "Form":
-        return Form._of(self.n, self.q, {i: -e for i, e in self.components.items()})
+    def __add__(self, other: "Form") -> "Form":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Form":
+        return Form._make(self.n, self.q, {key: -c for key, c in self.terms.items()}, self.den)
 
     def scale(self, c) -> "Form":
         c = qq(c)
         if not c:
             return Form.zero(self.n, self.q)
-        return Form._of(self.n, self.q, {i: e.scale(c) for i, e in self.components.items()})
+        return Form._make(self.n, self.q, *_scaled_terms(self.terms, self.den, c))
 
     def mul_r_power(self, b: int) -> "Form":
-        return Form._of(self.n, self.q,
-                        {i: e.mul_r_power(b) for i, e in self.components.items()})
+        """r^b times the form; a ValueError where an r field leaves its range."""
+        return Form._make(self.n, self.q, _shifted_terms(self.terms, _layout(self.n), b),
+                          self.den)
 
     def __eq__(self, other):
-        return (isinstance(other, Form) and self.n == other.n
-                and self.q == other.q and self.components == other.components)
+        return (isinstance(other, Form) and self.n == other.n and self.q == other.q
+                and self.den == other.den and self.terms == other.terms)
 
     __hash__ = None
 
     # -- exterior algebra ----------------------------------------------------
 
     def hodge_star(self) -> "Form":
-        full = tuple(range(1, self.n + 1))
-        out: dict = {}
-        for idx, el in self.components.items():
-            comp = tuple(i for i in full if i not in idx)
-            _accumulate(out, comp, el, _merge_sign(idx, comp) < 0)
-        return Form._of(self.n, self.n - self.q, out)
+        moves = _hodge_moves(self.n)
+        sc = _layout(self.n).sc
+        out = {}
+        for key, c in self.terms.items():
+            delta, neg = moves[key >> sc]
+            out[key + delta] = -c if neg else c
+        return Form._make(self.n, self.n - self.q, out, self.den)
 
     # -- differential operators ----------------------------------------------
 
-    def _rank_step(self, q: int, targets, add_into) -> "Form":
-        """The rank-q form sum_I sum_{(i, J, odd) in targets(I, n)}
-        (-1)^odd op_i(f_I) dx^J, where add_into(el, table, i, k) adds
-        k * el.den * op_i(el) to a term table in normal form: every component
-        enters over the lcm of the component denominators."""
-        den = self._common_den()
-        tables: dict = {}
-        for idx, el in self.components.items():
-            k = den // el.den
-            for i, target, odd in targets(idx, self.n):
-                add_into(el, tables.setdefault(target, {}), i, -k if odd else k)
-        return self._from_tables(q, tables, den)
-
-    def _common_den(self) -> int:
-        return lcm(*(el.den for el in self.components.values()))
-
-    def _from_tables(self, q: int, tables: dict, den: int) -> "Form":
-        """The rank-q form of term tables over den; each component's content
-        is divided out once."""
-        return Form._of(self.n, q, {idx: RadialRingElement._from_table(self.n, t, den)
-                                    for idx, t in tables.items() if t})
+    def _step(self, q: int, kernel, raising: bool, var: bool) -> "Form":
+        """The rank-q form sum_I sum_i (-1)^(entries of I below i) op_i(f_I)
+        dx^(I with i added or removed), op_i = d/dx_i (kernel _diff_terms) or
+        x_i (_var_terms)."""
+        n = self.n
+        table = kernel(self.terms, _layout(n), _targets(n, raising, var))
+        return Form._from_table(n, q, table, self.den)
 
     def rot(self) -> "Form":
         """Exterior derivative; GradeError at top rank."""
         if self.q == self.n:
             raise GradeError(f"rot undefined on rank-{self.q} forms in dimension {self.n}")
-        return self._rank_step(self.q + 1, _raise_targets, RadialRingElement.add_diff_into)
+        return self._step(self.q + 1, _diff_terms, True, False)
 
     def div(self) -> "Form":
         """Codifferential by the index formula; GradeError at rank 0.
@@ -218,16 +304,16 @@ class Form:
         """
         if self.q == 0:
             raise GradeError("div undefined on rank-0 forms")
-        return self._rank_step(self.q - 1, _lower_targets, RadialRingElement.add_diff_into)
+        return self._step(self.q - 1, _diff_terms, False, False)
 
     def laplacian(self) -> "Form":
         """Componentwise sum of second partials (sign: Delta = rot div + div rot).
 
-        Each coefficient part r^b p, p homogeneous of degree m, maps to
-        r^b Delta p + b (2m + b + n - 2) r^(b-2) p (RadialRingElement.laplacian).
+        Each term r^b x^alpha maps to r^b Delta x^alpha
+        + b (2 |alpha| + b + n - 2) r^(b-2) x^alpha (ring._laplacian_terms).
         """
-        return Form._of(self.n, self.q,
-                        {idx: el.laplacian() for idx, el in self.components.items()})
+        table = _laplacian_terms(self.terms, _layout(self.n))
+        return Form._from_table(self.n, self.q, table, self.den)
 
     # -- radial operators ----------------------------------------------------
 
@@ -235,21 +321,19 @@ class Form:
         """R_op: wedge with sum x_i dx^i.  Rank n input gives the zero form."""
         if self.q == self.n:
             return Form.zero(self.n, self.n)
-        return self._rank_step(self.q + 1, _raise_targets, RadialRingElement.add_var_into)
+        return self._step(self.q + 1, _var_terms, True, True)
 
     def radial_contraction(self) -> "Form":
         """T_op: contraction with the Euler field.  Rank 0 gives the zero 0-form."""
         if self.q == 0:
             return Form.zero(self.n, 0)
-        return self._rank_step(self.q - 1, _lower_targets, RadialRingElement.add_var_into)
+        return self._step(self.q - 1, _var_terms, False, True)
 
     # -- homogeneity ---------------------------------------------------------
 
     def coefficient_degrees(self) -> list:
-        degs = set()
-        for el in self.components.values():
-            degs.update(el.degrees())
-        return sorted(degs)
+        sd = _layout(self.n).sd
+        return sorted(d - D_OFFSET for d in {key >> sd & _DIGIT for key in self.terms})
 
     def homogeneous_degree(self):
         """The single coefficient degree, or None if zero or mixed."""
@@ -258,34 +342,45 @@ class Form:
 
     def homogeneity_split(self) -> dict:
         """Split into {degree: homogeneous Form}."""
+        sd = _layout(self.n).sd
         out: dict = {}
-        for idx, el in self.components.items():
-            for d in el.degrees():
-                piece = el.homogeneous_part(d)
-                slot = out.setdefault(d, {})
-                slot[idx] = piece
-        return {d: Form._of(self.n, self.q, comps) for d, comps in sorted(out.items())}
+        for key, c in self.terms.items():
+            out.setdefault(key >> sd & _DIGIT, {})[key] = c
+        return {d - D_OFFSET: Form._from_table(self.n, self.q, table, self.den)
+                for d, table in sorted(out.items())}
 
     # -- sphere pairing cache ------------------------------------------------
 
-    def _sphere_entry(self, idx: tuple) -> tuple:
-        """(restriction, memo) of component idx: its sphere restriction
-        {packed alpha: c}, computed once, and the memo packed alpha ->
-        avg_S(x^alpha * restriction) that sphere_inner_product fills."""
-        cache = self._sphere
-        if cache is None:
-            cache = self._sphere = {}
-        entry = cache.get(idx)
-        if entry is None:
-            entry = cache[idx] = (self.components[idx]._sphere_terms(), {})
-        return entry
+    def _sphere_entries(self) -> dict:
+        """{component field: (restriction, memo)}: each component's sphere
+        restriction {packed alpha: QQ}, computed once for the whole form, and
+        the memo packed alpha -> avg_S(x^alpha * restriction) that
+        sphere_inner_product fills."""
+        entries = self._sphere
+        if entries is None:
+            layout = _layout(self.n)
+            sc, mask = layout.sc, layout.alpha_mask
+            sums: dict = {}
+            for key, c in self.terms.items():
+                slot = sums.get(key >> sc)
+                if slot is None:
+                    slot = sums[key >> sc] = {}
+                a = key & mask
+                slot[a] = slot.get(a, 0) + c
+            den = self.den
+            entries = self._sphere = {
+                field: ({a: QQ(c, den) for a, c in slot.items() if c}, {})
+                for field, slot in sums.items()}
+        return entries
 
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:
-        comps = {}
-        for idx in sorted(self.components):
-            comps[",".join(map(str, idx))] = self.components[idx].to_records()
+        groups: dict = {}
+        for field, part, items in _record_items(self.terms, self.den, _layout(self.n)):
+            groups.setdefault(field, []).append((part, items))
+        comps = {",".join(map(str, _indices(field, self.n))): _encode_records(parts)
+                 for field, parts in groups.items()}
         return {"n": self.n, "q": self.q, "components": comps}
 
     @classmethod
@@ -304,12 +399,12 @@ class Form:
         return cls(n, q, comps)
 
     def __str__(self):
-        if not self.components:
+        if not self.terms:
             return f"0 (rank {self.q})"
         chunks = []
-        for idx in sorted(self.components):
+        for idx, el in self.components.items():
             name = "dx^(" + ",".join(map(str, idx)) + ")" if idx else "1"
-            chunks.append(f"[{self.components[idx]}] {name}")
+            chunks.append(f"[{el}] {name}")
         return " + ".join(chunks)
 
     def __repr__(self):
@@ -360,19 +455,21 @@ def sphere_inner_product(a: Form, b: Form) -> QQ:
 
     Linear in a's terms: each term c x^alpha of a's restriction contributes
     c * avg_S(x^alpha * b's restriction), an entry of b's memo that is
-    filled through monomial_average on first use (Form._sphere_entry).  The
-    restrictions are keyed by packed exponents, so x^alpha x^beta is the sum
-    of two keys, and it averages to zero when a digit is odd."""
+    filled through monomial_average on first use (Form._sphere_entries).
+    The restrictions are keyed by packed exponents, so x^alpha x^beta is the
+    sum of two keys, and it averages to zero when a digit is odd."""
     if a.n != b.n or a.q != b.q:
         raise ValueError("mismatched shapes in sphere inner product")
     n = a.n
     odd = _layout(n).odd
     total = _Q0
-    for idx in a.components:
-        if idx not in b.components:
+    entries = b._sphere_entries()
+    for field, (pa, _) in a._sphere_entries().items():
+        entry = entries.get(field)
+        if entry is None:
             continue
-        pb, memo = b._sphere_entry(idx)
-        for alpha, ca in a._sphere_entry(idx)[0].items():
+        pb, memo = entry
+        for alpha, ca in pa.items():
             avg = memo.get(alpha)
             if avg is None:
                 avg = _Q0
@@ -401,23 +498,17 @@ def sphere_gram(forms: list) -> list:
 # ---------------------------------------------------------------------------
 
 def coordinate_vectors(forms: list) -> tuple[list, list]:
-    """Return (keys, vectors): a shared coordinate key list and one exact
-    coefficient vector per form.  Key = (component tuple, packed term key),
-    sorted by component and then by term key, which is the order of
-    (component, degree, r_exp, monomial); canonical because ring elements are
-    normal forms."""
-    per_comp: dict = {}
-    for f in forms:
-        for idx, el in f.components.items():
-            per_comp.setdefault(idx, set()).update(el.terms)
-    keys = [(idx, key) for idx in sorted(per_comp) for key in sorted(per_comp[idx])]
+    """Return (keys, vectors): the sorted union of the forms' term keys and
+    one exact coefficient vector per form.  Key order is the order of
+    (component, degree, r_exp, monomial); canonical because forms are normal
+    forms."""
+    keys = sorted(set().union(*(f.terms for f in forms)))
     pos = {k: i for i, k in enumerate(keys)}
     vecs = []
     for f in forms:
         v = [_Q0] * len(keys)
-        for idx, el in f.components.items():
-            den = el.den
-            for key, c in el.terms.items():
-                v[pos[(idx, key)]] = QQ(c, den)
+        den = f.den
+        for key, c in f.terms.items():
+            v[pos[key]] = QQ(c, den)
         vecs.append(v)
     return keys, vecs

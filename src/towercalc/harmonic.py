@@ -22,33 +22,20 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension, require_schema)
-from .forms import Form, R_op, T_op, coordinate_vectors
-from .linalg import nullspace, rref
+from .forms import Form, R_op, T_op, _field, coordinate_vectors
+from .linalg import rref
 from .ring import QQ, RadialRingElement, _layout, reduced_monomials
+
+_Q1 = QQ(1)
 
 
 # ---------------------------------------------------------------------------
 # coordinate helpers
 # ---------------------------------------------------------------------------
-
-def form_from_coordinates(n: int, q: int, keys: list, vec: list) -> Form:
-    """Inverse of coordinate_vectors for a single vector: each component's
-    term table is built over the lcm of its denominators."""
-    raw: dict = {}
-    for (idx, key), c in zip(keys, vec):
-        if c:
-            raw.setdefault(idx, {})[key] = c
-    comps = {}
-    for idx, terms in raw.items():
-        den = lcm(*(c.denominator for c in terms.values()))
-        comps[idx] = RadialRingElement._from_table(
-            n, {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den)
-    return Form(n, q, comps)
-
 
 def echelon_normalize(forms: list) -> list:
     """Canonical basis (RREF rows) of the span of the given forms."""
@@ -58,7 +45,20 @@ def echelon_normalize(forms: list) -> list:
     n, q = forms[0].n, forms[0].q
     keys, vecs = coordinate_vectors(forms)
     red, _ = rref(vecs)
-    return [form_from_coordinates(n, q, keys, row) for row in red]
+    return [Form._from_coordinates(n, q, {key: c for key, c in zip(keys, row) if c})
+            for row in red]
+
+
+def _is_echelon(forms: list) -> bool:
+    """Whether nonzero forms are a reduced row-echelon basis in coordinate
+    order, checked in one scan: each form's first coordinate has
+    coefficient 1, the first coordinates increase strictly from form to
+    form, and each of them is absent from every other form."""
+    leads = [min(f.terms) for f in forms]
+    lead_set = set(leads)
+    return (all(f.terms[k] == f.den for f, k in zip(forms, leads))
+            and all(a < b for a, b in zip(leads, leads[1:]))
+            and all(len(lead_set.intersection(f.terms)) == 1 for f in forms))
 
 
 def kernel_of_operators(candidates: list, operators: list) -> list:
@@ -66,23 +66,32 @@ def kernel_of_operators(candidates: list, operators: list) -> list:
 
     candidates are one-term forms with coefficient 1 in descending coordinate
     order (the order of coordinate_vectors, reversed); operators are callables
-    Form -> Form.  Every row of an RREF is zero left of its pivot, so each
-    free-variable vector of nullspace has its 1 at its free unknown and is
+    Form -> Form.  Each free column j of the constraints' RREF gives the
+    kernel vector {j: 1, p: -RREF[row of p][j] for each pivot column p}.
+    Every row of an RREF is zero left of its pivot, so that vector is
     otherwise nonzero only at pivot unknowns of larger coordinates: read in
-    reverse, they are the reduced-row-echelon basis in coordinate order.
+    reverse, the vectors are the reduced-row-echelon basis in coordinate
+    order.  Each is built as a form from its nonzero entries only.
     """
     if not candidates:
         return []
     n, q = candidates[0].n, candidates[0].q
-    keys = [(idx, key) for c in candidates for idx, el in c.components.items()
-            for key in el.terms]
+    keys = [key for c in candidates for key in c.terms]
     rows = []
     for op in operators:
         _, vecs = coordinate_vectors([op(c) for c in candidates])
         if vecs and vecs[0]:
             rows.extend(list(row) for row in zip(*vecs))
-    return [form_from_coordinates(n, q, keys, v)
-            for v in reversed(nullspace(rows, ncols=len(candidates)))]
+    red, pivots = rref(rows)
+    vectors = {j: {key: _Q1} for j, key in enumerate(keys)}
+    for p in pivots:
+        del vectors[p]
+    for row, p in zip(red, pivots):
+        # off its pivot, an RREF row is nonzero only at free columns
+        for j in range(p + 1, len(row)):
+            if row[j]:
+                vectors[j][keys[p]] = -row[j]
+    return [Form._from_coordinates(n, q, vectors[j]) for j in reversed(vectors)]
 
 
 def _biclosed_operators(n: int, q: int) -> list:
@@ -141,7 +150,7 @@ def _load_cached(path: str, key: tuple, dim: int):
     """The seed space stored at path, or None when the file does not parse,
     states another schema, or does not hold the canonical basis of the
     (n, q, degree) space of its key: dim bi-closed forms of that shape, in
-    reduced row-echelon form."""
+    reduced row-echelon form (_is_echelon)."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -153,7 +162,7 @@ def _load_cached(path: str, key: tuple, dim: int):
               and all((f.n, f.q, f.homogeneous_degree()) == key for f in forms)
               and all(op(f).is_zero() for op in _biclosed_operators(*key[:2])
                       for f in forms)
-              and tuple(echelon_normalize(forms)) == forms)
+              and _is_echelon(forms))
     except (OSError, *DECODE_ERRORS):
         return None
     return space if ok else None
@@ -169,13 +178,12 @@ def _solve_polynomial(n: int, q: int, degree: int) -> list:
     rank-q forms, r^(degree-e) x^beta dx^I with beta reduced and e = |beta| of
     the parity of degree, in descending coordinate order."""
     layout = _layout(n)
-    coords = sorted(((idx, layout.pack(degree, degree - e, beta))
+    coords = sorted(((_field(idx, n) << layout.sc) + layout.pack(degree, degree - e, beta)
                      for idx in itertools.combinations(range(1, n + 1), q)
                      for e in range(degree % 2, degree + 1, 2)
                      for beta in reduced_monomials(n, e)), reverse=True)
-    return kernel_of_operators(
-        [Form._of(n, q, {idx: RadialRingElement._make(n, {key: 1}, 1)}) for idx, key in coords],
-        _biclosed_operators(n, q))
+    return kernel_of_operators([Form._make(n, q, {key: 1}, 1) for key in coords],
+                               _biclosed_operators(n, q))
 
 
 def _solve_decaying(n: int, q: int, sigma: int) -> list:

@@ -54,27 +54,6 @@ def rref(rows: list) -> tuple[list, list]:
     return m[:rank], pivots
 
 
-def nullspace(rows: list, ncols: int | None = None) -> list:
-    """Basis of {v : A v = 0} as a list of QQ vectors.
-
-    Canonical free-variable parametrization: one basis vector per non-pivot
-    column, with a 1 in that column.
-    """
-    ncols = len(rows[0]) if rows else ncols or 0
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [_Q0] * ncols
-        v[j] = _Q1
-        for i, pc in enumerate(pivots):
-            if red[i][j]:
-                v[pc] = -red[i][j]
-        basis.append(v)
-    return basis
-
-
 def solve(rows: list, rhs: list):
     """One exact solution of A x = b, or None if inconsistent.
 

@@ -17,36 +17,47 @@ Packed monomials.  The terms are one dict {key: int numerator}.  A key packs
 the total degree d = b + |alpha|, the r exponent b and the exponents alpha
 into one Python int of DIGIT_BITS-bit digits, x_1 most significant:
 
-    key = d * U_d + (b + R_OFFSET) * U_b + sum_j alpha_j * u_j,
+    key = (d + D_OFFSET) * U_d + (b + R_OFFSET) * U_b + sum_j alpha_j * u_j,
 
     u_j = 2^(DIGIT_BITS (n - j)),  U_b = 2^(DIGIT_BITS n),  U_d = 2^DIGIT_BITS U_b.
 
-d is the top field and may be negative; the r field is offset by R_OFFSET =
-2^(DIGIT_BITS - 2) so that it stays non-negative.  Integer order of keys is
-therefore the order of the tuples (d, b, alpha), and every operator moves a
-term by one integer offset: d/dx_j takes key - U_d - u_j, the radial term
-b r^(b-2) x_j of d/dx_j takes key - U_d - 2 U_b + u_j, the rewrite
-x_1^2 = r^2 - x_2^2 - ... - x_n^2 adds n - 1 fixed offsets, multiplication by
-r^s adds s (U_d + U_b), restriction to the sphere is key & (U_b - 1), and the
-product of two monomials is the sum of their keys less R_OFFSET U_b.  The
-parts property shows the old {(d, b): {alpha: int}} table.
+The degree and r fields are offset by D_OFFSET = R_OFFSET = 2^(DIGIT_BITS - 2)
+so that they stay non-negative.  Integer order of keys is therefore the order
+of the tuples (d, b, alpha), and every operator moves a term by one integer
+offset: d/dx_j takes key - U_d - u_j, the radial term b r^(b-2) x_j of d/dx_j
+takes key - U_d - 2 U_b + u_j, the rewrite x_1^2 = r^2 - x_2^2 - ... - x_n^2
+adds n - 1 fixed offsets, multiplication by r^s adds s (U_d + U_b),
+restriction to the sphere is key & (U_b - 1), and the product of two
+monomials is the sum of their keys less the key of 1.  The parts property
+shows the old {(d, b): {alpha: int}} table.
+
+Above the degree field sits one more field, at U_c = 2^DIGIT_BITS U_d.  It is
+0 in a ring element; a differential form (forms.py) keeps all its
+components in one such table and stores each component's dx-index set there.
+The operators below work on either kind of table: _diff_terms, _var_terms
+and _laplacian_terms read the component field only to look up where each
+term goes, and the others never read it.
 
 Packing bound.  The constructor, from_poly, from_records and r_power admit
 exponents 0..MAX_EXP and r exponents -MAX_EXP..MAX_EXP, MAX_EXP = 2^16 - 1,
 in their input and in its normal form, and raise ValueError on anything
 else; __mul__ checks its own result against the same bound, and mul_r_power
-refuses a result whose r field leaves its range.  With DIGIT_BITS = 32 the sum
-of two admitted monomials (a product, or a term of the sphere pairing) has
-digits below 2^17 and never carries.  diff, add_diff_into, add_var_into and
-laplacian move a digit or the r field by at most 2 per application and do
-not check: a carry out of an admitted element takes more than 2^29 of them
-applied in sequence.
+refuses a result whose r field leaves its range [-2^30, 2^30).  With
+DIGIT_BITS = 32 the sum of two admitted monomials (a product, or a term of
+the sphere pairing) has digits below 2^17 and never carries.  diff, rot,
+div, R_op, T_op and laplacian move a digit, the r field or the degree field
+by at most 2 per application and do not check: a carry out of an admitted
+term takes more than 2^28 of them applied in sequence.  So no operator
+carries into the component field either: the fields below it stay in
+[0, 2^32), and a form's rank step sets or clears one index bit whose state
+it has read (forms.py).
 
 All arithmetic is exact.  The operators add and multiply integer numerators
 and divide out the content once per result.  Rationals cross the boundary as
 fractions.Fraction (QQ): the constructor takes rational-valued raw tables and
 clears their denominators once; sphere_restriction, to_records and
-forms.coordinate_vectors hand out QQ.
+forms.coordinate_vectors hand out QQ.  The table operators are module
+functions on (terms, den), shared by RadialRingElement and forms.Form.
 """
 
 from __future__ import annotations
@@ -66,6 +77,7 @@ _Q0 = QQ(0)
 DIGIT_BITS = 32
 MAX_EXP = (1 << 16) - 1
 R_OFFSET = 1 << (DIGIT_BITS - 2)
+D_OFFSET = R_OFFSET
 _DIGIT = (1 << DIGIT_BITS) - 1
 
 
@@ -159,18 +171,24 @@ def reduce_poly(p: dict, n: int) -> dict:
 class _Layout:
     """Digit positions and the fixed key offsets for n variables."""
 
-    __slots__ = ("shifts", "units", "sb", "ub", "sd", "ud", "alpha_mask",
-                 "odd", "over", "r_guard", "x1_sq", "steps", "diff_var", "diff_sq",
-                 "digits")
+    __slots__ = ("n", "shifts", "units", "sb", "ub", "sd", "ud", "sc", "alpha_mask",
+                 "ring_mask", "one", "odd", "over", "r_guard", "x1_sq", "steps",
+                 "diff_var", "diff_sq", "digits", "lone_diff")
 
     def __init__(self, n: int):
+        self.n = n
         self.shifts = tuple(DIGIT_BITS * (n - 1 - j) for j in range(n))
         self.units = tuple(1 << s for s in self.shifts)
         self.sb = DIGIT_BITS * n
         self.ub = 1 << self.sb
         self.sd = self.sb + DIGIT_BITS
         self.ud = 1 << self.sd
+        self.sc = self.sd + DIGIT_BITS
         self.alpha_mask = self.ub - 1
+        # everything below the component field
+        self.ring_mask = (1 << self.sc) - 1
+        # the key of the monomial 1
+        self.one = (D_OFFSET << self.sd) + (R_OFFSET << self.sb)
         # the exponent digits as big-endian unsigned 32-bit fields
         self.digits = struct.Struct(f">{n}I")
         # bit 0 of every exponent digit: a monomial with one of them set has
@@ -192,15 +210,20 @@ class _Layout:
         self.steps = tuple(self.ud + u for u in self.units)
         self.diff_var = tuple(self.ud + 2 * self.ub - u for u in self.units)
         self.diff_sq = tuple(self.ud + 2 * self.ub + u1 - 2 * u for u in self.units[1:])
+        # the _diff_terms targets of d/dx_(j+1) on a ring element
+        self.lone_diff = tuple({0: (self.diff_target(j),)} for j in range(n))
 
     def pack(self, d: int, b: int, alpha: tuple) -> int:
         """The key of r^b x^alpha in part d; each exponent in 0..2^32 - 1."""
-        return ((d << self.sd) + ((b + R_OFFSET) << self.sb)
+        return (((d + D_OFFSET) << self.sd) + ((b + R_OFFSET) << self.sb)
                 + int.from_bytes(self.digits.pack(*alpha), "big"))
 
     def unpack(self, key: int) -> tuple:
         """(d, b, alpha) of a key."""
-        return (key >> self.sd, (key >> self.sb & _DIGIT) - R_OFFSET, self.alpha(key))
+        return (self.degree(key), (key >> self.sb & _DIGIT) - R_OFFSET, self.alpha(key))
+
+    def degree(self, key: int) -> int:
+        return (key >> self.sd & _DIGIT) - D_OFFSET
 
     def alpha(self, key: int) -> tuple:
         """The exponent tuple of a key (or of a packed alpha)."""
@@ -211,6 +234,19 @@ class _Layout:
         -MAX_EXP..MAX_EXP."""
         return (not key & self.over
                 and -MAX_EXP <= (key >> self.sb & _DIGIT) - R_OFFSET <= MAX_EXP)
+
+    def diff_target(self, j: int, delta: int = 0, neg: bool = False) -> tuple:
+        """The _diff_terms record of d/dx_(j+1) whose result terms move by
+        delta more (a change of the component field) and are negated when
+        neg: (j, digit shift, the three kinds of offset, neg)."""
+        sq = tuple(off - delta for off in self.diff_sq) if not j else ()
+        return (j, self.shifts[j], self.steps[j] - delta, self.diff_var[j] - delta, sq, neg)
+
+    def var_target(self, j: int, delta: int = 0, neg: bool = False) -> tuple:
+        """The _var_terms record of x_(j+1) times a term, likewise:
+        (j, offset, the x_1^2 rewrite's offsets, neg)."""
+        off = self.steps[j] + delta
+        return (j, off, off + self.x1_sq[0], tuple(off + x for x in self.x1_sq[1:]), neg)
 
 
 @cache
@@ -252,6 +288,208 @@ def _normalized(table: dict, den: int) -> tuple:
                 table[key] //= g
             den //= g
     return table, den
+
+
+def _record_items(terms: dict, den: int, layout: _Layout) -> list:
+    """[(component field, (degree, r_exp), [(alpha, p, q), ...]), ...] in the
+    order the encodings write them: component fields and then parts
+    ascending, the terms of a part by descending grlex, each coefficient p/q
+    in lowest terms with q > 0."""
+    sb, sc = layout.sb, layout.sc
+    groups: dict = {}
+    for key in sorted(terms, reverse=True):
+        groups.setdefault(key >> sb, []).append(key)
+    out = []
+    for keys in reversed(groups.values()):
+        items = []
+        for key in keys:
+            c = terms[key]
+            g = gcd(c, den)
+            items.append((layout.alpha(key), c // g, den // g))
+        out.append((keys[0] >> sc, layout.unpack(keys[0])[:2], items))
+    return out
+
+
+def _encode_records(parts: list) -> list:
+    """The records of [((degree, r_exp), [(alpha, p, q), ...]), ...]."""
+    return [{"degree": d, "r_exp": b,
+             "terms": [{"alpha": list(alpha), "coef": f"{p}/{q}" if q != 1 else str(p)}
+                       for alpha, p, q in terms]}
+            for (d, b), terms in parts]
+
+
+# ---------------------------------------------------------------------------
+# operators on term tables, shared by ring elements and forms
+# ---------------------------------------------------------------------------
+
+def _plus_terms(ta: dict, da: int, tb: dict, db: int, sign: int) -> tuple:
+    """ta/da + sign tb/db over the lcm of the two denominators, normalized."""
+    den = lcm(da, db)
+    ka, kb = den // da, sign * (den // db)
+    out = {key: c * ka for key, c in ta.items()} if ka != 1 else dict(ta)
+    get = out.get
+    for key, c in tb.items():
+        new = get(key, 0) + c * kb
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return _normalized(out, den)
+
+
+def _scaled_terms(terms: dict, den: int, c: QQ) -> tuple:
+    """c terms/den for a nonzero rational c.  With c = u/v in lowest terms,
+    u's common factor with den cancels at once, and only v can share a
+    factor with the numerators."""
+    u, v = c.numerator, c.denominator
+    g = gcd(u, den)
+    h = gcd(v, *terms.values()) if v != 1 else 1
+    u //= g
+    if h == 1:
+        out = terms if u == 1 else {key: cc * u for key, cc in terms.items()}
+    else:
+        out = {key: cc // h * u for key, cc in terms.items()}
+    return out, den // g * (v // h)
+
+
+def _shifted_terms(terms: dict, layout: _Layout, b: int) -> dict:
+    """r^b times the terms: a pure key shift, no reduction needed.  A result
+    whose r field leaves its range is a ValueError."""
+    if not -R_OFFSET < b < R_OFFSET:
+        raise ValueError(f"r exponent shift {b} outside the packing bound")
+    shift = b * (layout.ud + layout.ub)
+    out = {key + shift: c for key, c in terms.items()}
+    if reduce(or_, out, 0) & layout.r_guard:
+        raise ValueError(f"r^{b} times this element leaves the packing bound")
+    return out
+
+
+def _diff_terms(terms: dict, layout: _Layout, targets) -> dict:
+    """sum over the terms t and over the records (see _Layout.diff_target)
+    of targets[component field of t] of the record's signed, moved d/dx_j t,
+    in normal form.
+
+    d/dx_j (r^b x^alpha) = alpha_j r^b x^(alpha - e_j) + b r^(b-2) x_j x^alpha.
+    Only x_1 x^alpha with alpha_1 = 1 needs the rewrite of x_1^2; then
+    d/dx_1 (r^b x_1 x^beta) = (1 + b) r^b x^beta - b sum_{l>=2} r^(b-2) x_l^2 x^beta.
+    """
+    sb, sc = layout.sb, layout.sc
+    out: dict = {}
+    get = out.get
+    for key, c in terms.items():
+        b = (key >> sb & _DIGIT) - R_OFFSET
+        for j, sj, d_off, v_off, sq_offs, neg in targets[key >> sc]:
+            cc = -c if neg else c
+            e = key >> sj & _DIGIT
+            if j:
+                if e:
+                    nk = key - d_off
+                    new = get(nk, 0) + cc * e
+                    if new:
+                        out[nk] = new
+                    else:
+                        del out[nk]
+                if b:
+                    nk = key - v_off
+                    new = get(nk, 0) + cc * b
+                    if new:
+                        out[nk] = new
+                    else:
+                        del out[nk]
+            elif e:
+                if b != -1:
+                    nk = key - d_off
+                    new = get(nk, 0) + cc * (1 + b)
+                    if new:
+                        out[nk] = new
+                    else:
+                        del out[nk]
+                if b:
+                    cc *= b
+                    for off in sq_offs:
+                        nk = key - off
+                        new = get(nk, 0) - cc
+                        if new:
+                            out[nk] = new
+                        else:
+                            del out[nk]
+            elif b:
+                nk = key - v_off
+                new = get(nk, 0) + cc * b
+                if new:
+                    out[nk] = new
+                else:
+                    del out[nk]
+    return out
+
+
+def _var_terms(terms: dict, layout: _Layout, targets) -> dict:
+    """Like _diff_terms for x_j times a term (see _Layout.var_target).
+
+    x_j x^alpha stays reduced unless j = 1 and alpha_1 = 1; then
+    x_1 (r^b x_1 x^beta) = r^(b+2) x^beta - sum_{l>=2} r^b x_l^2 x^beta.
+    """
+    s1, sc = layout.shifts[0], layout.sc
+    out: dict = {}
+    get = out.get
+    for key, c in terms.items():
+        x1 = key >> s1 & _DIGIT
+        for j, off, r_off, sq_offs, neg in targets[key >> sc]:
+            cc = -c if neg else c
+            rewrite = x1 and not j
+            nk = key + (r_off if rewrite else off)
+            new = get(nk, 0) + cc
+            if new:
+                out[nk] = new
+            else:
+                del out[nk]
+            if rewrite:
+                for x in sq_offs:
+                    nk = key + x
+                    new = get(nk, 0) - cc
+                    if new:
+                        out[nk] = new
+                    else:
+                        del out[nk]
+    return out
+
+
+def _laplacian_terms(terms: dict, layout: _Layout) -> dict:
+    """Sum of second partials by the closed form, term by term:
+
+        Delta(r^b x^alpha) = r^b Delta x^alpha
+                             + b (2 |alpha| + b + n - 2) r^(b-2) x^alpha,
+
+    where d_1^2 x^alpha = 0 for a reduced monomial, so every term is
+    already reduced.  The component field is carried along.
+    """
+    n, sb, sd = layout.n, layout.sb, layout.sd
+    digit_offs = [(s, 2 * layout.ud + 2 * u)
+                  for s, u in zip(layout.shifts[1:], layout.units[1:])]
+    r_off = 2 * layout.ud + 2 * layout.ub
+    out: dict = {}
+    get = out.get
+    for key, c in terms.items():
+        for s, off in digit_offs:
+            e = key >> s & _DIGIT
+            if e >= 2:
+                nk = key - off
+                new = get(nk, 0) + c * (e * (e - 1))
+                if new:
+                    out[nk] = new
+                else:
+                    del out[nk]
+        b = (key >> sb & _DIGIT) - R_OFFSET
+        if b:
+            kk = b * (2 * ((key >> sd & _DIGIT) - D_OFFSET - b) + b + n - 2)
+            if kk:
+                nk = key - r_off
+                new = get(nk, 0) + c * kk
+                if new:
+                    out[nk] = new
+                else:
+                    del out[nk]
+    return out
 
 
 class RadialRingElement:
@@ -371,12 +609,12 @@ class RadialRingElement:
 
     def degrees(self):
         """Sorted list of total degrees present."""
-        sd = _layout(self.n).sd
-        return sorted({key >> sd for key in self.terms})
+        degree = _layout(self.n).degree
+        return sorted({degree(key) for key in self.terms})
 
     def homogeneous_part(self, d: int) -> "RadialRingElement":
-        sd = _layout(self.n).sd
-        kept = {key: c for key, c in self.terms.items() if key >> sd == d}
+        degree = _layout(self.n).degree
+        kept = {key: c for key, c in self.terms.items() if degree(key) == d}
         return RadialRingElement._from_table(self.n, kept, self.den)
 
     # -- arithmetic ----------------------------------------------------------
@@ -385,17 +623,8 @@ class RadialRingElement:
         """self + sign * other, over the lcm of the two denominators."""
         if self.n != other.n:
             raise ValueError("mixed variable counts")
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, sign * (den // other.den)
-        out = {key: c * ka for key, c in self.terms.items()} if ka != 1 else dict(self.terms)
-        get = out.get
-        for key, c in other.terms.items():
-            new = get(key, 0) + c * kb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return RadialRingElement._from_table(self.n, out, den)
+        return RadialRingElement._make(
+            self.n, *_plus_terms(self.terms, self.den, other.terms, other.den, sign))
 
     def __add__(self, other):
         if not isinstance(other, RadialRingElement):
@@ -422,7 +651,7 @@ class RadialRingElement:
         if self.n != other.n:
             raise ValueError("mixed variable counts")
         layout = _layout(self.n)
-        base = R_OFFSET << layout.sb
+        base = layout.one
         s1 = layout.shifts[0]
         r_off, *sq_offs = layout.x1_sq
         table: dict = {}
@@ -444,185 +673,31 @@ class RadialRingElement:
     __rmul__ = __mul__
 
     def scale(self, c) -> "RadialRingElement":
-        """c * self.  With c = u/v in lowest terms, u's common factor with den
-        cancels at once, and only v can share a factor with the numerators."""
+        """c * self."""
         c = qq(c)
         if not c:
             return RadialRingElement.zero(self.n)
-        u, v = c.numerator, c.denominator
-        g = gcd(u, self.den)
-        h = gcd(v, *self.terms.values()) if v != 1 else 1
-        u //= g
-        if h == 1:
-            out = self.terms if u == 1 else {key: cc * u for key, cc in self.terms.items()}
-        else:
-            out = {key: cc // h * u for key, cc in self.terms.items()}
-        return RadialRingElement._make(self.n, out, self.den // g * (v // h))
+        return RadialRingElement._make(self.n, *_scaled_terms(self.terms, self.den, c))
 
     def mul_r_power(self, b: int) -> "RadialRingElement":
         """Multiply by r^b (a pure key shift, no reduction needed)."""
-        layout = _layout(self.n)
-        if not -R_OFFSET < b < R_OFFSET:
-            raise ValueError(f"r exponent shift {b} outside the packing bound")
-        shift = b * (layout.ud + layout.ub)
-        out = {key + shift: c for key, c in self.terms.items()}
-        if reduce(or_, out, 0) & layout.r_guard:
-            raise ValueError(f"r^{b} times this element leaves the packing bound")
-        return RadialRingElement._make(self.n, out, self.den)
+        return RadialRingElement._make(
+            self.n, _shifted_terms(self.terms, _layout(self.n), b), self.den)
 
     def diff(self, i: int) -> "RadialRingElement":
-        """Partial derivative in x_i (1-based), using d/dx_i r^b = b r^(b-2) x_i."""
+        """Partial derivative in x_i (1-based), using d/dx_i r^b = b r^(b-2) x_i
+        (the kernel of forms.Form.rot and div)."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} outside 1..{self.n}")
-        table: dict = {}
-        self.add_diff_into(table, i)
-        return RadialRingElement._from_table(self.n, table, self.den)
-
-    def add_diff_into(self, table: dict, i: int, k: int = 1) -> None:
-        """table += k * den * d/dx_i(self), for a term table in normal form:
-        the derivative's numerators over den, times the integer k.
-
-        d/dx_i (r^b x^alpha) = alpha_i r^b x^(alpha - e_i) + b r^(b-2) x_i x^alpha.
-        Only x_1 x^alpha with alpha_1 = 1 needs the rewrite of x_1^2; then
-        d/dx_1 (r^b x_1 x^beta) = (1 + b) r^b x^beta - b sum_{l>=2} r^(b-2) x_l^2 x^beta.
-        """
         layout = _layout(self.n)
-        j = i - 1
-        sj, sb = layout.shifts[j], layout.sb
-        d_off, v_off = layout.steps[j], layout.diff_var[j]
-        get = table.get
-        if j:
-            for key, c in self.terms.items():
-                c *= k
-                e = key >> sj & _DIGIT
-                if e:
-                    nk = key - d_off
-                    new = get(nk, 0) + c * e
-                    if new:
-                        table[nk] = new
-                    else:
-                        del table[nk]
-                b = (key >> sb & _DIGIT) - R_OFFSET
-                if b:
-                    nk = key - v_off
-                    new = get(nk, 0) + c * b
-                    if new:
-                        table[nk] = new
-                    else:
-                        del table[nk]
-            return
-        sq_offs = layout.diff_sq
-        for key, c in self.terms.items():
-            c *= k
-            b = (key >> sb & _DIGIT) - R_OFFSET
-            if key >> sj & _DIGIT:
-                if b != -1:
-                    nk = key - d_off
-                    new = get(nk, 0) + c * (1 + b)
-                    if new:
-                        table[nk] = new
-                    else:
-                        del table[nk]
-                if b:
-                    c *= -b
-                    for off in sq_offs:
-                        nk = key - off
-                        new = get(nk, 0) + c
-                        if new:
-                            table[nk] = new
-                        else:
-                            del table[nk]
-            elif b:
-                nk = key - v_off
-                new = get(nk, 0) + c * b
-                if new:
-                    table[nk] = new
-                else:
-                    del table[nk]
-
-    def add_var_into(self, table: dict, i: int, k: int = 1) -> None:
-        """table += k * den * x_i * self, for a term table in normal form.
-
-        x_i x^alpha stays reduced unless i = 1 and alpha_1 = 1; then
-        x_1 (r^b x_1 x^beta) = r^(b+2) x^beta - sum_{l>=2} r^b x_l^2 x^beta.
-        """
-        layout = _layout(self.n)
-        j = i - 1
-        off = layout.steps[j]
-        get = table.get
-        if j:
-            for key, c in self.terms.items():
-                nk = key + off
-                new = get(nk, 0) + c * k
-                if new:
-                    table[nk] = new
-                else:
-                    del table[nk]
-            return
-        s1 = layout.shifts[0]
-        r_off, *sq_offs = (off + x for x in layout.x1_sq)
-        for key, c in self.terms.items():
-            c *= k
-            if key >> s1 & _DIGIT:
-                nk = key + r_off
-                new = get(nk, 0) + c
-                if new:
-                    table[nk] = new
-                else:
-                    del table[nk]
-                for x in sq_offs:
-                    nk = key + x
-                    new = get(nk, 0) - c
-                    if new:
-                        table[nk] = new
-                    else:
-                        del table[nk]
-            else:
-                nk = key + off
-                new = get(nk, 0) + c
-                if new:
-                    table[nk] = new
-                else:
-                    del table[nk]
+        return RadialRingElement._from_table(
+            self.n, _diff_terms(self.terms, layout, layout.lone_diff[i - 1]), self.den)
 
     def laplacian(self) -> "RadialRingElement":
-        """Sum of second partials by the closed form, term by term:
-
-            Delta(r^b x^alpha) = r^b Delta x^alpha
-                                 + b (2 |alpha| + b + n - 2) r^(b-2) x^alpha,
-
-        where d_1^2 x^alpha = 0 for a reduced monomial, so every term is
-        already reduced.
-        """
-        n = self.n
-        layout = _layout(n)
-        sb, sd = layout.sb, layout.sd
-        digit_offs = [(s, 2 * layout.ud + 2 * u)
-                      for s, u in zip(layout.shifts[1:], layout.units[1:])]
-        r_off = 2 * layout.ud + 2 * layout.ub
-        table: dict = {}
-        get = table.get
-        for key, c in self.terms.items():
-            for s, off in digit_offs:
-                e = key >> s & _DIGIT
-                if e >= 2:
-                    nk = key - off
-                    new = get(nk, 0) + c * (e * (e - 1))
-                    if new:
-                        table[nk] = new
-                    else:
-                        del table[nk]
-            b = (key >> sb & _DIGIT) - R_OFFSET
-            if b:
-                kk = b * (2 * ((key >> sd) - b) + b + n - 2)
-                if kk:
-                    nk = key - r_off
-                    new = get(nk, 0) + c * kk
-                    if new:
-                        table[nk] = new
-                    else:
-                        del table[nk]
-        return RadialRingElement._from_table(n, table, self.den)
+        """Sum of second partials, term by term (_laplacian_terms, the kernel
+        of forms.Form.laplacian)."""
+        return RadialRingElement._from_table(
+            self.n, _laplacian_terms(self.terms, _layout(self.n)), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, RadialRingElement):
@@ -660,30 +735,14 @@ class RadialRingElement:
 
     def _record_items(self) -> list:
         """[((degree, r_exp), [(alpha, p, q), ...]), ...] in the order
-        to_records writes them: parts ascending, terms by descending grlex,
-        each coefficient p/q in lowest terms with q > 0."""
-        layout = _layout(self.n)
-        sb, den, terms = layout.sb, self.den, self.terms
-        groups: dict = {}
-        for key in sorted(terms, reverse=True):
-            groups.setdefault(key >> sb, []).append(key)
-        out = []
-        for keys in reversed(groups.values()):
-            items = []
-            for key in keys:
-                c = terms[key]
-                g = gcd(c, den)
-                items.append((layout.alpha(key), c // g, den // g))
-            out.append((layout.unpack(keys[0])[:2], items))
-        return out
+        to_records writes them (see _record_items)."""
+        return [(part, items) for _, part, items
+                in _record_items(self.terms, self.den, _layout(self.n))]
 
     def to_records(self) -> list:
         """The canonical encoding; each coefficient is written as qq_str
         writes the rational p/q."""
-        return [{"degree": d, "r_exp": b,
-                 "terms": [{"alpha": list(alpha), "coef": f"{p}/{q}" if q != 1 else str(p)}
-                           for alpha, p, q in terms]}
-                for (d, b), terms in self._record_items()]
+        return _encode_records(self._record_items())
 
     @classmethod
     def from_records(cls, n: int, recs: list) -> "RadialRingElement":

@@ -6,6 +6,7 @@ route:
 
   hodge_div            codifferential through the Hodge star, (-1)^((q-1)n) * rot *
   laplacian_factored   rot div + div rot, with the grade guards
+  nullspace            dense free-variable kernel vectors read off an rref
   kernel_by_echelon    kernel of operators over any candidates: nullspace, the
                        Form sum of each kernel vector, then echelon_normalize
   direct_seed_basis    escalating general ansatz r^(degree-e) * (reduced monomials),
@@ -31,17 +32,24 @@ route:
   expand_side_full_gram  one side of an expansion through the full Gram of all
                        candidates at each degree, cross-block entries included,
                        paired by sphere_inner_product_direct
+  component_*          the per-component route that forms took before the flat
+                       table: one RadialRingElement per component, rank steps
+                       through add_diff_into / add_var_into over the lcm of the
+                       component denominators (component_rot, _div, _r_op,
+                       _t_op), and scale, mul_r_power, + and - and the memoised
+                       sphere pairing component by component
 """
 
 import itertools
+import math
 
 from towercalc.errors import (ConsistencyError, InvalidRankError,
                               require_odd_dimension)
 from towercalc.expansion import SideExpansion, tower_candidates
 from towercalc.forms import Form, coordinate_vectors, monomial_average
 from towercalc.harmonic import echelon_normalize
-from towercalc.linalg import matrix_rank, nullspace, solve_posdef
-from towercalc.ring import QQ, RadialRingElement, reduced_monomials
+from towercalc.linalg import matrix_rank, rref, solve_posdef
+from towercalc.ring import _DIGIT, QQ, R_OFFSET, RadialRingElement, _layout, reduced_monomials
 from towercalc.towers import ExceptionalFormDescriptor, TowerContext
 
 _Q0 = QQ(0)
@@ -71,6 +79,27 @@ def _hodge_biclosed_operators(n: int, q: int) -> list:
     if q > 0:
         ops.append(hodge_div)
     return ops
+
+
+def nullspace(rows: list, ncols: int | None = None) -> list:
+    """Basis of {v : A v = 0} as a list of QQ vectors.
+
+    Canonical free-variable parametrization: one basis vector per non-pivot
+    column, with a 1 in that column.
+    """
+    ncols = len(rows[0]) if rows else ncols or 0
+    red, pivots = rref(rows)
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
+    basis = []
+    for j in free:
+        v = [_Q0] * ncols
+        v[j] = _Q1
+        for i, pc in enumerate(pivots):
+            if red[i][j]:
+                v[pc] = -red[i][j]
+        basis.append(v)
+    return basis
 
 
 def kernel_by_echelon(candidates: list, operators: list) -> list:
@@ -487,3 +516,186 @@ def fraction_r_op(f: Form) -> dict:
 
 def fraction_t_op(f: Form) -> dict:
     return {} if f.q == 0 else _fraction_lower_rank(f, fraction_add_var_into)
+
+
+# ---------------------------------------------------------------------------
+# the per-component route: one RadialRingElement per component
+# ---------------------------------------------------------------------------
+
+def add_diff_into(el: RadialRingElement, table: dict, i: int, k: int = 1) -> None:
+    """table += k * el.den * d/dx_i(el), for a ring term table in normal form.
+
+    d/dx_i (r^b x^alpha) = alpha_i r^b x^(alpha - e_i) + b r^(b-2) x_i x^alpha.
+    Only x_1 x^alpha with alpha_1 = 1 needs the rewrite of x_1^2; then
+    d/dx_1 (r^b x_1 x^beta) = (1 + b) r^b x^beta - b sum_{l>=2} r^(b-2) x_l^2 x^beta.
+    """
+    layout = _layout(el.n)
+    j = i - 1
+    sj, sb = layout.shifts[j], layout.sb
+    d_off, v_off = layout.steps[j], layout.diff_var[j]
+
+    def put(nk, c):
+        new = table.get(nk, 0) + c
+        if new:
+            table[nk] = new
+        else:
+            del table[nk]
+
+    for key, c in el.terms.items():
+        c *= k
+        e = key >> sj & _DIGIT
+        b = (key >> sb & _DIGIT) - R_OFFSET
+        if j:
+            if e:
+                put(key - d_off, c * e)
+            if b:
+                put(key - v_off, c * b)
+        elif e:
+            if b != -1:
+                put(key - d_off, c * (1 + b))
+            if b:
+                for off in layout.diff_sq:
+                    put(key - off, -c * b)
+        elif b:
+            put(key - v_off, c * b)
+
+
+def add_var_into(el: RadialRingElement, table: dict, i: int, k: int = 1) -> None:
+    """table += k * el.den * x_i * el, for a ring term table in normal form.
+
+    x_i x^alpha stays reduced unless i = 1 and alpha_1 = 1; then
+    x_1 (r^b x_1 x^beta) = r^(b+2) x^beta - sum_{l>=2} r^b x_l^2 x^beta.
+    """
+    layout = _layout(el.n)
+    j = i - 1
+    off = layout.steps[j]
+
+    def put(nk, c):
+        new = table.get(nk, 0) + c
+        if new:
+            table[nk] = new
+        else:
+            del table[nk]
+
+    for key, c in el.terms.items():
+        c *= k
+        if j == 0 and key >> layout.shifts[0] & _DIGIT:
+            put(key + off + layout.x1_sq[0], c)
+            for x in layout.x1_sq[1:]:
+                put(key + off + x, -c)
+        else:
+            put(key + off, c)
+
+
+def _raise_targets(idx: tuple, n: int) -> tuple:
+    """(i, I, odd) for each i in 1..n outside idx: dx^i wedge dx^idx =
+    (-1)^odd dx^I with I = idx and i sorted together."""
+    out = []
+    pos = 0          # entries of idx below i: dx^i moves past them
+    for i in range(1, n + 1):
+        if pos < len(idx) and idx[pos] == i:
+            pos += 1
+        else:
+            out.append((i, idx[:pos] + (i,) + idx[pos:], pos % 2))
+    return tuple(out)
+
+
+def _lower_targets(idx: tuple, n: int) -> tuple:
+    """(i_t, idx without i_t, t odd) for each entry i_t of idx, t 0-based."""
+    return tuple((i, idx[:t] + idx[t + 1:], t % 2) for t, i in enumerate(idx))
+
+
+def _rank_step(f: Form, q: int, targets, add_into) -> Form:
+    """The rank-q form sum_I sum_{(i, J, odd) in targets(I, n)}
+    (-1)^odd op_i(f_I) dx^J, where add_into(el, table, i, k) adds
+    k * el.den * op_i(el) to a term table in normal form: every component
+    enters over the lcm of the component denominators."""
+    comps = f.components
+    den = math.lcm(*(el.den for el in comps.values()))
+    tables: dict = {}
+    for idx, el in comps.items():
+        k = den // el.den
+        for i, target, odd in targets(idx, f.n):
+            add_into(el, tables.setdefault(target, {}), i, -k if odd else k)
+    return Form(f.n, q, {idx: RadialRingElement._from_table(f.n, t, den)
+                         for idx, t in tables.items() if t})
+
+
+def component_rot(f: Form) -> Form:
+    return _rank_step(f, f.q + 1, _raise_targets, add_diff_into)
+
+
+def component_div(f: Form) -> Form:
+    return _rank_step(f, f.q - 1, _lower_targets, add_diff_into)
+
+
+def component_r_op(f: Form) -> Form:
+    if f.q == f.n:
+        return Form.zero(f.n, f.n)
+    return _rank_step(f, f.q + 1, _raise_targets, add_var_into)
+
+
+def component_t_op(f: Form) -> Form:
+    if f.q == 0:
+        return Form.zero(f.n, 0)
+    return _rank_step(f, f.q - 1, _lower_targets, add_var_into)
+
+
+def component_scale(f: Form, c) -> Form:
+    return Form(f.n, f.q, {idx: el.scale(c) for idx, el in f.components.items()})
+
+
+def component_mul_r_power(f: Form, b: int) -> Form:
+    return Form(f.n, f.q, {idx: el.mul_r_power(b) for idx, el in f.components.items()})
+
+
+def component_add(a: Form, b: Form, sign: int = 1) -> Form:
+    out = dict(a.components)
+    for idx, el in b.components.items():
+        cur = out.get(idx)
+        term = el if sign > 0 else -el
+        out[idx] = term if cur is None else cur + term
+    return Form(a.n, a.q, out)
+
+
+def component_sphere_inner_product(a: Form, b: Form, memos: dict | None = None) -> QQ:
+    """The sphere pairing component by component: each component restricted
+    by its ring element (_sphere_terms), and each term of a's restriction
+    averaged against b's through a memo per component of b, kept in memos
+    when given (keyed by id(b) and the component)."""
+    if a.n != b.n or a.q != b.q:
+        raise ValueError("mismatched shapes in sphere inner product")
+    n = a.n
+    odd = _layout(n).odd
+    memos = {} if memos is None else memos
+    total = _Q0
+    comps_b = b.components
+    for idx, el in a.components.items():
+        other = comps_b.get(idx)
+        if other is None:
+            continue
+        pb = other._sphere_terms()
+        memo = memos.setdefault((id(b), idx), {})
+        for alpha, ca in el._sphere_terms().items():
+            avg = memo.get(alpha)
+            if avg is None:
+                avg = _Q0
+                for beta, cb in pb.items():
+                    gamma = alpha + beta
+                    if not gamma & odd:
+                        avg += cb * monomial_average(_layout(n).alpha(gamma), n)
+                memo[alpha] = avg
+            if avg:
+                total += ca * avg
+    return total
+
+
+def component_hodge_star(f: Form) -> Form:
+    """The Hodge star component by component: dx^I -> sign(I, I^c) dx^(I^c)."""
+    full = tuple(range(1, f.n + 1))
+    out = {}
+    for idx, el in f.components.items():
+        comp = tuple(i for i in full if i not in idx)
+        inversions = sum(1 for j in comp for i in idx if i > j)
+        out[comp] = -el if inversions % 2 else el
+    return Form(f.n, f.n - f.q, out)

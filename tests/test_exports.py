@@ -46,8 +46,10 @@ def test_public_and_traced_names_resolve():
 
 
 def test_tracer_counts_members_and_terms_through_the_parts_view():
-    """The tracer's towers.members and towers.terms read RadialRingElement.parts;
-    they must count what the family writes."""
+    """The tracer's towers.members and towers.terms read RadialRingElement.parts
+    through Form.components, which a form builds on each read; they must
+    count what the family writes, component by component and in the
+    family's own encoding."""
     from towercalc.towers import build_tower_pair
     fam = build_tower_pair(5, 2, 1, 1, 4)
     members, terms, _ = _load_tracer()._bits_and_terms(fam)
@@ -55,6 +57,11 @@ def test_tracer_counts_members_and_terms_through_the_parts_view():
     assert members == len(forms)
     assert terms == sum(len(rec["terms"]) for f in forms for el in f.components.values()
                         for rec in el.to_records())
+    written = [f for line in ("d_floors", "r_floors") for floor in fam.to_obj()[line]
+               for f in floor]
+    assert members == len(written)
+    assert terms == sum(len(rec["terms"]) for f in written
+                        for recs in f["components"].values() for rec in recs)
     assert terms > 0
 
 

@@ -1,20 +1,25 @@
 import functools
 import itertools
+import math
 from math import prod
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from towercalc.forms import (Form, GradeError, R_op, T_op, monomial_average,
-                             sphere_inner_product)
-from towercalc.ring import QQ, RadialRingElement, monomials, qq
+from towercalc.forms import (Form, GradeError, R_op, T_op, coordinate_vectors,
+                             monomial_average, sphere_inner_product)
+from towercalc.ring import MAX_EXP, QQ, R_OFFSET, RadialRingElement, _layout, monomials, qq
 
-from oracles import (fraction_div, fraction_form_parts, fraction_laplacian,
-                     fraction_r_op, fraction_rot, fraction_scale, fraction_t_op,
-                     hodge_div, laplacian_by_diff, laplacian_factored,
-                     poly_sphere_average, r_op_by_wedge, radial_one_form,
-                     sphere_inner_product_direct, t_op_by_product, wedge)
+from oracles import (component_add, component_div, component_hodge_star,
+                     component_mul_r_power, component_r_op, component_rot,
+                     component_scale, component_sphere_inner_product,
+                     component_t_op, fraction_add, fraction_div, fraction_form_parts,
+                     fraction_laplacian, fraction_mul_r_power, fraction_r_op,
+                     fraction_rot, fraction_scale, fraction_t_op, hodge_div,
+                     laplacian_by_diff, laplacian_factored, poly_sphere_average,
+                     r_op_by_wedge, radial_one_form, sphere_inner_product_direct,
+                     t_op_by_product, wedge)
 from test_ring import ring_elements
 
 R = RadialRingElement
@@ -91,6 +96,113 @@ def test_form_operators_match_fraction_oracles(f, c):
         idx: t for idx, p in parts.items() if (t := fraction_laplacian(p, f.n))}
     assert fraction_form_parts(f.scale(c)) == {
         idx: t for idx, p in parts.items() if (t := fraction_scale(p, c))}
+
+
+@st.composite
+def flat_form_pairs(draw):
+    """Two forms of one shape at n in {3, 5, 7} and any rank, with up to
+    four components over the different denominators 2, 3, 5 and 7, shifted
+    by r^-s so that many terms have negative degree."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    q = draw(st.integers(0, n))
+    tuples = list(itertools.combinations(range(1, n + 1), q))
+
+    elements = ring_elements(n, max_degree=2).filter(lambda el: not el.is_zero())
+
+    def form():
+        idxs = draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=4, unique=True))
+        return Form(n, q, {
+            idx: draw(elements).mul_r_power(-draw(st.integers(0, n + 2)))
+            .scale(QQ(draw(st.integers(1, 9)), p))
+            for idx, p in zip(idxs, (2, 3, 5, 7))})
+
+    return form(), form()
+
+
+def assert_flat_normal_form(f):
+    """One positive denominator with no factor common to it and all the
+    numerators, no zero numerator, every component field of rank f.q."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c for c in f.terms.values())
+    assert math.gcd(f.den, *f.terms.values()) == 1
+    assert all(len(idx) == f.q for idx in f.components)
+    if f.is_zero():
+        assert f.den == 1
+
+
+def _split_fraction_parts(f, d):
+    """The Fraction tables of the degree-d part of each component of f."""
+    out = {}
+    for idx, parts in fraction_form_parts(f).items():
+        kept = {key: p for key, p in parts.items() if key[0] == d}
+        if kept:
+            out[idx] = kept
+    return out
+
+
+@settings(max_examples=60)
+@given(flat_form_pairs(), rationals, st.integers(-4, 4))
+def test_flat_operators_match_the_component_route(pair, c, s):
+    """Every operator on the flat table gives the form that the per-component
+    route gives, and the Fraction-per-term tables of the fraction oracles."""
+    f, g = pair
+    n, q = f.n, f.q
+    parts_f, parts_g = fraction_form_parts(f), fraction_form_parts(g)
+    results = []
+    if q < n:
+        assert f.rot() == component_rot(f)
+        assert fraction_form_parts(f.rot()) == fraction_rot(f)
+        results.append(f.rot())
+    if q > 0:
+        assert f.div() == component_div(f)
+        assert fraction_form_parts(f.div()) == fraction_div(f)
+        results.append(f.div())
+    assert R_op(f) == component_r_op(f) and fraction_form_parts(R_op(f)) == fraction_r_op(f)
+    assert T_op(f) == component_t_op(f) and fraction_form_parts(T_op(f)) == fraction_t_op(f)
+    assert f.laplacian() == Form(n, q, {idx: el.laplacian() for idx, el in f.components.items()})
+    assert fraction_form_parts(f.laplacian()) == {
+        idx: t for idx, p in parts_f.items() if (t := fraction_laplacian(p, n))}
+    assert f.hodge_star() == component_hodge_star(f)
+    assert f.scale(c) == component_scale(f, c)
+    assert fraction_form_parts(f.scale(c)) == {
+        idx: t for idx, p in parts_f.items() if (t := fraction_scale(p, c))}
+    assert f.mul_r_power(s) == component_mul_r_power(f, s)
+    assert fraction_form_parts(f.mul_r_power(s)) == {
+        idx: fraction_mul_r_power(p, s) for idx, p in parts_f.items()}
+    for sign, total in ((1, f + g), (-1, f - g)):
+        assert total == component_add(f, g, sign)
+        want = {idx: fraction_add(parts_f.get(idx, {}), parts_g.get(idx, {}), sign)
+                for idx in parts_f.keys() | parts_g.keys()}
+        assert fraction_form_parts(total) == {idx: t for idx, t in want.items() if t}
+    assert -f == component_scale(f, -1)
+    assert (f == g) == (f.components == g.components) and f - f == Form.zero(n, q)
+    assert f.coefficient_degrees() == sorted(
+        {d for el in f.components.values() for d in el.degrees()})
+    split = f.homogeneity_split()
+    assert list(split) == f.coefficient_degrees()
+    for d, piece in split.items():
+        assert fraction_form_parts(piece) == _split_fraction_parts(f, d)
+    want = sphere_inner_product_direct(f, g)
+    assert sphere_inner_product(f, g) == component_sphere_inner_product(f, g) == want
+    assert sphere_inner_product(f, g) == want                 # from the memo
+    keys, (vf, vg) = coordinate_vectors([f, g])
+    layout = _layout(n)
+    # integer key order is the order of (component, ring key)
+    assert [(_comp_of(k, n), k & layout.ring_mask) for k in keys] == sorted(
+        {(idx, key) for h in (f, g) for idx, el in h.components.items() for key in el.terms})
+    assert Form._from_coordinates(n, q, {k: v for k, v in zip(keys, vf) if v}) == f
+    assert f.to_obj() == {"n": n, "q": q, "components": {
+        ",".join(map(str, idx)): el.to_records() for idx, el in sorted(f.components.items())}}
+    assert Form.from_obj(f.to_obj()) == f
+    for h in results + [R_op(f), T_op(f), f.laplacian(), f.scale(c), f + g, f - g,
+                        f.mul_r_power(s), f.hodge_star(), *split.values()]:
+        assert_flat_normal_form(h)
+
+
+def _comp_of(key, n):
+    """The index tuple of a form key's component field."""
+    field = key >> _layout(n).sc
+    return tuple(i for i in range(1, n + 1) if not field >> (n - i) & 1)
 
 
 def test_component_keys_validated():
@@ -365,3 +477,55 @@ def test_memoised_sphere_product_matches_the_direct_product(case, c):
 @given(homogeneous_forms())
 def test_form_serialization_round_trip(f):
     assert Form.from_obj(f.to_obj()) == f
+
+
+# ---------------------------------------------------------------------------
+# the packing bound on the flat table
+# ---------------------------------------------------------------------------
+
+AT_THE_BOUND = [((0, MAX_EXP, 0), 0), ((1, 0, MAX_EXP), -3), ((0, 0, 0), MAX_EXP),
+                ((0, 0, 0), -MAX_EXP), ((1, MAX_EXP, MAX_EXP), -MAX_EXP),
+                ((1, MAX_EXP, 0), MAX_EXP)]
+
+
+@pytest.mark.parametrize("alpha, b", AT_THE_BOUND)
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_forms_at_the_packing_bound_stay_correct_or_are_refused(alpha, b, q):
+    """Components at the exponent limit and the r-exponent limit go through
+    rot, div, R_op, T_op and from_obj with correct components, or raise
+    ValueError; no operator carries into the next field."""
+    n = 3
+    el = R(n, {(b + sum(alpha), b): {alpha: QQ(1, 3)}})
+    tuples = list(itertools.combinations(range(1, n + 1), q))
+    f = Form(n, q, {tuples[0]: el, tuples[-1]: el.scale(QQ(-2, 5)) + R.one(n)})
+    assert Form.from_obj(f.to_obj()) == f
+    steps = [(R_op, fraction_r_op), (T_op, fraction_t_op)]
+    if q < n:
+        steps.append((Form.rot, fraction_rot))
+    if q > 0:
+        steps.append((Form.div, fraction_div))
+    for op, oracle in steps:
+        got = op(f)
+        assert fraction_form_parts(got) == oracle(f)
+        assert got == Form(n, got.q, got.components)
+        try:
+            back = Form.from_obj(got.to_obj())
+        except ValueError:
+            # past the bound: an exponent of MAX_EXP + 1 or r^(-MAX_EXP - 2)
+            assert any(max(a) > MAX_EXP or abs(bb) > MAX_EXP
+                       for parts in fraction_form_parts(got).values()
+                       for (_, bb), p in parts.items() for a in p)
+        else:
+            assert back == got
+
+
+def test_flat_mul_r_power_refuses_to_leave_the_r_field():
+    top = Form.dx(3, (1, 3), R.r_power(3, MAX_EXP)) + Form.dx(3, (2, 3), R.one(3))
+    bottom = Form.dx(3, (1, 2), R.r_power(3, -MAX_EXP))
+    shifted = top.mul_r_power(1000)
+    assert shifted.components == {(1, 3): R.r_power(3, MAX_EXP).mul_r_power(1000),
+                                  (2, 3): R.r_power(3, 1000)}
+    for f, s in ((top, R_OFFSET - 1), (bottom, 1 - R_OFFSET), (top, R_OFFSET),
+                 (bottom, -R_OFFSET)):
+        with pytest.raises(ValueError, match="packing bound"):
+            f.mul_r_power(s)

@@ -1,8 +1,10 @@
 import sympy
 from hypothesis import given, strategies as st
 
-from towercalc.linalg import matrix_rank, nullspace, rref, solve, solve_posdef
+from towercalc.linalg import matrix_rank, rref, solve, solve_posdef
 from towercalc.ring import QQ, qq
+
+from oracles import nullspace
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(qq)
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from towercalc.forms import Form, R_op, T_op
 from towercalc.ring import (MAX_EXP, QQ, R_OFFSET, RadialRingElement, _layout,
-                            monomials, qq, qq_str, reduce_poly,
+                            _var_terms, monomials, qq, qq_str, reduce_poly,
                             reduced_monomials)
 
 from oracles import (diff_by_canonicalize, fraction_add, fraction_add_var_into,
@@ -306,15 +306,15 @@ def test_packed_operators_match_fraction_oracles(pair, c, s):
     fa, fb = fraction_parts(a), fraction_parts(b)
     for i in range(1, n + 1):
         assert fraction_parts(a.diff(i)) == fraction_diff(fa, i)
-        for k in (1, -1):
-            table: dict = {}
-            a.add_var_into(table, i, k)
+        layout = _layout(n)
+        for neg in (False, True):
+            table = _var_terms(a.terms, layout, {0: (layout.var_target(i - 1, 0, neg),)})
             want: dict = {}
-            fraction_add_var_into(fa, want, i, k)
+            fraction_add_var_into(fa, want, i, -1 if neg else 1)
             assert fraction_parts(R._from_table(n, table, a.den)) == want
-            # a second pass of the opposite sign cancels every term
-            a.add_var_into(table, i, -k)
-            assert table == {}
+        # the two signs together cancel every term
+        both = (layout.var_target(i - 1), layout.var_target(i - 1, 0, True))
+        assert _var_terms(a.terms, layout, {0: both}) == {}
     assert fraction_parts(a.laplacian()) == fraction_laplacian(fa, n)
     assert fraction_parts(a.scale(c)) == fraction_scale(fa, c)
     assert fraction_parts(a + b) == fraction_add(fa, fb)
@@ -364,7 +364,7 @@ def test_sum_of_two_admitted_monomials_does_not_carry():
         a = layout.pack(n * MAX_EXP + MAX_EXP, MAX_EXP, top) & layout.alpha_mask
         assert layout.alpha(a + a) == (2 * MAX_EXP,) * n
         k = layout.pack(-MAX_EXP, -MAX_EXP, (0,) * n)
-        assert layout.unpack(k + k - (R_OFFSET << layout.sb)) == (
+        assert layout.unpack(k + k - layout.one) == (
             -2 * MAX_EXP, -2 * MAX_EXP, (0,) * n)
 
 
