@@ -12,16 +12,20 @@ The Gram matrix of one degree is block-diagonal.  The members of one
 (sign, k, sigma) block span one copy of an irreducible O(n)-module; the
 sphere pairing is O(n)-invariant and R, T and r^2 are equivariant, so by
 Schur's lemma members of different blocks are orthogonal (+ and - blocks of
-one degree included).  Each degree is therefore solved block by block, with
-the blocks' members and Grams computed once per TowerContext
-(TowerContext.block, TowerContext.block_gram); only the right-hand sides
-<piece, member> are computed per call.  Products are memoised per form
+one degree included).  Each degree is therefore solved block by block.  A
+TowerContext computes each block's members, its Gram and the Gram's exact
+inverse, an integer matrix over one denominator, once
+(TowerContext.block, block_gram, block_inverse); a call computes only the
+right-hand sides <piece, member>, and each block's coefficients are the
+inverse times them, with no elimination.  Products are memoised per form
 (forms.sphere_inner_product): a cached member keeps its pairing with every
-monomial it has met, so a right-hand side costs one lookup per term of the
-piece.  The exceptional slot is not one of the candidates: its products with
-them are computed on every call and must be exactly 0, after which it is
-solved as a 1x1 block.  tests/oracles.py keeps the full-Gram solve and the
-uncached product.
+monomial it has met, as an integer, so a right-hand side costs one lookup
+and one integer multiply-add per term of the piece.  The exceptional slot is
+not one of the candidates: the context checks once that its products with
+them are exactly 0 and keeps its 1x1 Gram (TowerContext.hat_gram), and each
+call solves it as a block of its own.  tests/oracles.py keeps the full-Gram
+solve, the per-call solve of each block and the Fraction and uncached
+products.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from .errors import SCHEMA, ConsistencyError, require_int
+from .errors import SCHEMA, require_int
 from .forms import Form, sphere_inner_product
 from .indices import enumerate_excluded, in_weighted_l2, shift_index
-from .linalg import solve_posdef
+from .linalg import inverse_times, solve_posdef
 from .ring import QQ, qq, qq_str
-from .towers import (ExceptionalFormDescriptor, TowerContext, checked_gram,
-                     exceptional_form)
+from .towers import ExceptionalFormDescriptor, TowerContext, exceptional_form
 
 _Q0 = QQ(0)
 
@@ -106,14 +109,9 @@ def iterated_maxwell_check(pair: MaxwellPair, k: int) -> dict:
 def tower_candidates(ctx: TowerContext, rank: int, line: str, degree: int,
                      k_max: int) -> list:
     """All resolvable (index, member) of one rank/line at one coefficient
-    degree with floor <= k_max, in deterministic order."""
-    out = []
-    for k in range(k_max + 1):
-        for sign in (1, -1):
-            sigma = degree - k if sign > 0 else k - ctx.n - degree
-            if sigma >= 0:
-                out += ctx.block(rank, line, sign, k, sigma)
-    return out
+    degree with floor <= k_max, in deterministic order
+    (TowerContext.candidates)."""
+    return ctx.candidates(rank, line, degree, k_max)
 
 
 @dataclass
@@ -130,46 +128,41 @@ class SideExpansion:
 def _expand_side(form: Form, rank: int, line: str, k_max: int,
                  ctx: TowerContext,
                  hat: ExceptionalFormDescriptor | None) -> SideExpansion:
-    """Degree-by-degree sphere-Gram expansion of one form, solved block by
-    block; the exceptional slot is checked orthogonal to the tower members
-    and solved as a block of its own."""
+    """Degree-by-degree sphere-Gram expansion of one form: each block's
+    coefficients are its cached inverse Gram times the right-hand sides, and
+    the exceptional slot, checked orthogonal to the tower members once per
+    context, is solved as a 1x1 block of its own."""
     n = ctx.n
     side = SideExpansion(residual=Form.zero(n, form.q))
-    hat_form = None
+    degrees = set(form.coefficient_degrees())
+    hat_form = hat_degree = None
     if hat is not None and not hat.is_zero:
         hat_form = hat.resolve(ctx)
+        hat_degree = hat_form.homogeneous_degree()
+        degrees.add(hat_degree)
         side.hat_descriptor = hat
         side.hat_coeff = _Q0
-    degrees = set(form.coefficient_degrees())
-    if hat_form is not None:
-        degrees.add(hat_form.homogeneous_degree())
     pieces = form.homogeneity_split()
     for degree in sorted(degrees):
         piece = pieces.get(degree, Form.zero(n, form.q))
-        cands = tower_candidates(ctx, rank, line, degree, k_max)
-        blocks = [(ctx.block_gram(rank, line, *key), list(members))
-                  for key, members in groupby(
-                      cands, key=lambda c: (c[0].sign, c[0].k, c[0].sigma))]
-        if hat_form is not None and hat_form.homogeneous_degree() == degree:
-            if any(sphere_inner_product(hat_form, f) for _, f in cands):
-                raise ConsistencyError(
-                    f"exceptional slot not orthogonal to the tower members at "
-                    f"rank {rank} {line}-line degree {degree}")
-            blocks.append((checked_gram([hat_form], rank, line, degree),
-                           [("hat", hat_form)]))
         rem = piece
-        for gram, members in blocks:
+        for key, members in groupby(tower_candidates(ctx, rank, line, degree, k_max),
+                                    key=lambda c: (c[0].sign, c[0].k, c[0].sigma)):
+            members = list(members)
             rhs = [sphere_inner_product(piece, f) for _, f in members]
             if not any(rhs):
                 continue
-            for (slot, f), c in zip(members, solve_posdef(gram, rhs)):
-                if not c:
-                    continue
-                rem = rem - f.scale(c)
-                if slot == "hat":
-                    side.hat_coeff = c
-                else:
-                    side.coeffs[slot] = c
+            coeffs = inverse_times(ctx.block_inverse(rank, line, *key), rhs)
+            for (idx, f), c in zip(members, coeffs):
+                if c:
+                    rem = rem - f.scale(c)
+                    side.coeffs[idx] = c
+        if degree == hat_degree:
+            gram = ctx.hat_gram(hat, rank, line, k_max)
+            rhs = [sphere_inner_product(piece, hat_form)]
+            if rhs[0]:
+                side.hat_coeff, = solve_posdef(gram, rhs)
+                rem = rem - hat_form.scale(side.hat_coeff)
         side.residual = side.residual + rem
     side.exact = side.residual.is_zero()
     return side

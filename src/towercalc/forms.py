@@ -40,8 +40,9 @@ from math import lcm
 
 from .errors import require_int
 from .ring import (_DIGIT, D_OFFSET, QQ, RadialRingElement, _diff_terms, _encode_records,
-                   _laplacian_terms, _layout, _normalized, _plus_terms, _record_items,
-                   _scaled_terms, _shifted_terms, _var_terms, qq)
+                   _laplacian_terms, _layout, _normalized, _plus_terms, _read_terms,
+                   _record_items, _scaled_terms, _shifted_terms, _table_over_lcm,
+                   _var_terms, qq)
 
 _Q0 = QQ(0)
 
@@ -353,9 +354,10 @@ class Form:
 
     def _sphere_entries(self) -> dict:
         """{component field: (restriction, memo)}: each component's sphere
-        restriction {packed alpha: QQ}, computed once for the whole form, and
-        the memo packed alpha -> avg_S(x^alpha * restriction) that
-        sphere_inner_product fills."""
+        restriction {packed alpha: int numerator over den}, computed once for
+        the whole form, and the memo packed alpha -> (num, d) that
+        sphere_inner_product fills, with avg_S(x^alpha * restriction) =
+        num / (d den) (see _average_against)."""
         entries = self._sphere
         if entries is None:
             layout = _layout(self.n)
@@ -367,9 +369,8 @@ class Form:
                     slot = sums[key >> sc] = {}
                 a = key & mask
                 slot[a] = slot.get(a, 0) + c
-            den = self.den
             entries = self._sphere = {
-                field: ({a: QQ(c, den) for a, c in slot.items() if c}, {})
+                field: ({a: c for a, c in slot.items() if c}, {})
                 for field, slot in sums.items()}
         return entries
 
@@ -385,18 +386,25 @@ class Form:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Form":
-        """Decode a stored form.  Only the encoding to_obj writes is accepted
-        (up to the spelling of each rational, see from_records): a padded
-        component key or a zero component is a ValueError."""
+        """Decode a stored form into its one table.  Only the encoding to_obj
+        writes is accepted (up to the spelling of each rational, see
+        ring._read_terms): a padded component key or a zero component is a
+        ValueError."""
         n, q = require_int(obj["n"], "n"), require_int(obj["q"], "q")
-        comps = {}
+        if not 0 <= q <= n:
+            raise ValueError(f"form rank {q} outside 0..{n}")
+        terms: list = []
         for key, recs in obj["components"].items():
             idx = tuple(int(s) for s in key.split(",")) if key else ()
-            el = RadialRingElement.from_records(n, recs)
-            if key != ",".join(map(str, idx)) or el.is_zero():
+            read: list = []
+            if key == ",".join(map(str, idx)):
+                _check_tuple(idx, n, q)
+                _read_terms(n, recs, read)
+            if not read:
                 raise ValueError(f"component {key!r} is not in the canonical encoding")
-            comps[idx] = el
-        return cls(n, q, comps)
+            top = _field(idx, n) << _layout(n).sc
+            terms += [(top + k, p, d) for k, p, d in read]
+        return cls._make(n, q, *_table_over_lcm(terms))
 
     def __str__(self):
         if not self.terms:
@@ -424,30 +432,67 @@ def T_op(form: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 @cache
+def _average_denominator(n: int, s: int) -> int:
+    """n (n + 2) ... (n + 2s - 2), the denominator of a degree-2s average
+    before reduction; it divides the one of every larger s."""
+    den = 1
+    for t in range(s):
+        den *= n + 2 * t
+    return den
+
+
+def _average_parts(alpha: tuple, n: int):
+    """(num, den) with avg_S(x^alpha) = num / den, den =
+    _average_denominator(n, |alpha| / 2), or None when an exponent is odd."""
+    s2 = 0
+    num = 1
+    for e in alpha:
+        if e % 2:
+            return None
+        s2 += e // 2
+        for j in range(1, e, 2):
+            num *= j
+    return num, _average_denominator(n, s2)
+
+
+@cache
 def monomial_average(alpha: tuple, n: int) -> QQ:
     """Average of x^alpha over the unit sphere S^(n-1), memoised per (alpha, n).
 
     Zero when any exponent is odd; otherwise
     prod_i (alpha_i - 1)!! / prod_{t=0}^{s-1} (n + 2t) with s = |alpha|/2.
     """
-    s2 = 0
-    num = 1
-    for e in alpha:
-        if e % 2:
-            return _Q0
-        s2 += e // 2
-        for j in range(1, e, 2):
-            num *= j
-    den = 1
-    for t in range(s2):
-        den *= n + 2 * t
-    return QQ(num) / QQ(den)
+    parts = _average_parts(alpha, n)
+    return _Q0 if parts is None else QQ(*parts)
 
 
 @cache
-def _packed_average(alpha: int, n: int) -> QQ:
-    """monomial_average of a packed exponent key."""
-    return monomial_average(_layout(n).alpha(alpha), n)
+def _packed_average(alpha: int, n: int) -> tuple:
+    """_average_parts of a packed exponent key whose digits are all even."""
+    return _average_parts(_layout(n).alpha(alpha), n)
+
+
+# the memo entry of every average that is zero, shared
+_ZERO_AVERAGE = (0, 1)
+
+
+def _average_against(alpha: int, restriction: dict, n: int, odd: int) -> tuple:
+    """(num, d) with avg_S(x^alpha * sum_beta c_beta x^beta) = num / d for
+    the integer restriction {beta: c_beta}; d is the largest
+    _average_denominator met, which every smaller one divides."""
+    num, d = 0, 1
+    for beta, c in restriction.items():
+        gamma = alpha + beta
+        if not gamma & odd:
+            gn, gd = _packed_average(gamma, n)
+            if gd == d:
+                num += c * gn
+            elif gd > d:
+                num = num * (gd // d) + c * gn
+                d = gd
+            else:
+                num += c * gn * (d // gd)
+    return (num, d) if num else _ZERO_AVERAGE
 
 
 def sphere_inner_product(a: Form, b: Form) -> QQ:
@@ -455,14 +500,17 @@ def sphere_inner_product(a: Form, b: Form) -> QQ:
 
     Linear in a's terms: each term c x^alpha of a's restriction contributes
     c * avg_S(x^alpha * b's restriction), an entry of b's memo that is
-    filled through monomial_average on first use (Form._sphere_entries).
-    The restrictions are keyed by packed exponents, so x^alpha x^beta is the
-    sum of two keys, and it averages to zero when a digit is odd."""
+    filled on first use (Form._sphere_entries, _average_against).  The
+    restrictions are keyed by packed exponents, so x^alpha x^beta is the
+    sum of two keys, and it averages to zero when a digit is odd.  Both
+    restrictions and the memo hold integers: the products are summed as one
+    numerator over the largest average denominator met, and divided by it
+    and by the two forms' dens in the one Fraction returned."""
     if a.n != b.n or a.q != b.q:
         raise ValueError("mismatched shapes in sphere inner product")
     n = a.n
     odd = _layout(n).odd
-    total = _Q0
+    num, d = 0, 1
     entries = b._sphere_entries()
     for field, (pa, _) in a._sphere_entries().items():
         entry = entries.get(field)
@@ -472,15 +520,17 @@ def sphere_inner_product(a: Form, b: Form) -> QQ:
         for alpha, ca in pa.items():
             avg = memo.get(alpha)
             if avg is None:
-                avg = _Q0
-                for beta, cb in pb.items():
-                    gamma = alpha + beta
-                    if not gamma & odd:
-                        avg += cb * _packed_average(gamma, n)
-                memo[alpha] = avg
-            if avg:
-                total += ca * avg
-    return total
+                avg = memo[alpha] = _average_against(alpha, pb, n, odd)
+            an, ad = avg
+            if an:
+                if ad == d:
+                    num += ca * an
+                elif ad > d:
+                    num = num * (ad // d) + ca * an
+                    d = ad
+                else:
+                    num += ca * an * (d // ad)
+    return QQ(num, d * a.den * b.den) if num else _Q0
 
 
 def sphere_gram(forms: list) -> list:

@@ -15,6 +15,8 @@ Weights are exact rationals throughout (pass ints, 'p/q' strings, or QQ).
 
 from __future__ import annotations
 
+import math
+
 from .errors import HypothesisError, require_odd_dimension
 from .ring import QQ, qq, qq_str
 from .towers import TowerIndex, multiplicity
@@ -26,6 +28,38 @@ def in_weighted_l2(index: TowerIndex, s, n: int) -> bool:
     return qq(index.degree(n)) < -qq(s) - QQ(n, 2)
 
 
+# The most work an excluded set may take: sigma steps walked plus indices
+# listed.  A weight, floor count or sigma cap beyond it is refused before any
+# enumeration (excluded_work).
+EXCLUDED_LIMIT = 100_000
+
+
+def excluded_work(n: int, rank: int, line: str, k_max: int, s,
+                  sigma_max: int | None = None) -> int:
+    """An upper bound on the sigma steps plus the indices that
+    enumerate_excluded walks and lists, from each floor's sigma span and
+    the multiplicity at its top: mu(n, p, sigma) is nondecreasing in sigma
+    for 0 < p < n and at most 1 at p in {0, n}.  sigma_max adds the growing
+    side.  Counting stops once the bound passes EXCLUDED_LIMIT, so a huge
+    weight or floor count costs nothing."""
+    s = qq(s)
+    if k_max + 1 > EXCLUDED_LIMIT:
+        return k_max + 1
+    first = math.floor(s - QQ(n, 2))
+    work = 0
+    for k in range(k_max + 1):
+        spans = [first + k] + ([] if sigma_max is None else [sigma_max])
+        for top in spans:
+            if top < 0:
+                continue
+            if top >= EXCLUDED_LIMIT:
+                return top + 1
+            work += (top + 1) * (1 + max(1, multiplicity(n, rank, line, top, k)))
+            if work > EXCLUDED_LIMIT:
+                return work
+    return work
+
+
 def enumerate_excluded(n: int, rank: int, line: str, k_max: int, s,
                        negative_only: bool = True,
                        sigma_max: int | None = None) -> list:
@@ -34,10 +68,19 @@ def enumerate_excluded(n: int, rank: int, line: str, k_max: int, s,
     With negative_only (the default) only the decaying side is listed; it is
     finite on its own (sigma <= s + k - n/2).  Listing the growing side too
     requires an explicit sigma_max cap, since every growing index fails for
-    s >= -n/2.
+    s >= -n/2.  A request whose excluded_work passes EXCLUDED_LIMIT is a
+    ValueError, raised before anything is listed.
     """
     require_odd_dimension(n)
     s = qq(s)
+    if not negative_only and sigma_max is None:
+        raise ValueError("listing growing-side indices requires sigma_max")
+    work = excluded_work(n, rank, line, k_max, s, None if negative_only else sigma_max)
+    if work > EXCLUDED_LIMIT:
+        raise ValueError(
+            f"the excluded indices at this weight (floors <= {k_max}"
+            + ("" if negative_only else f", sigma <= {sigma_max}")
+            + f") take more than the limit of {EXCLUDED_LIMIT} sigma steps and indices")
     half = QQ(n, 2)
     out = []
     for k in range(k_max + 1):
@@ -47,8 +90,6 @@ def enumerate_excluded(n: int, rank: int, line: str, k_max: int, s,
                 out.append(TowerIndex(-1, k, sigma, m))
             sigma += 1
     if not negative_only:
-        if sigma_max is None:
-            raise ValueError("listing growing-side indices requires sigma_max")
         for k in range(k_max + 1):
             for sigma in range(sigma_max + 1):
                 idx = TowerIndex(1, k, sigma, 1)

@@ -8,6 +8,8 @@ canonical one for the row space.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .ring import QQ
 
 _Q0 = QQ(0)
@@ -79,6 +81,31 @@ def solve_posdef(gram: list, rhs: list):
     if sol is None:
         raise ArithmeticError("inconsistent system with positive definite matrix")
     return sol
+
+
+def exact_inverse(rows: list) -> tuple:
+    """(M, d) with rows^-1 = M / d for a nonsingular square matrix: M an
+    integer matrix and d > 0 the lcm of the inverse's denominators.  One
+    rref of [rows | I]; a singular matrix is an ArithmeticError."""
+    k = len(rows)
+    red, pivots = rref([list(r) + [_Q1 if i == j else _Q0 for j in range(k)]
+                        for i, r in enumerate(rows)])
+    if pivots[:k] != list(range(k)):
+        raise ArithmeticError("singular matrix has no inverse")
+    inv = [row[k:] for row in red]
+    d = lcm(*(c.denominator for row in inv for c in row))
+    return [[c.numerator * (d // c.denominator) for c in row] for row in inv], d
+
+
+def inverse_times(inverse: tuple, rhs: list) -> list:
+    """M rhs / d for an exact_inverse (M, d) and rational rhs: the rhs is
+    put over one denominator, and each entry is one integer dot product and
+    one QQ."""
+    matrix, d = inverse
+    den = lcm(*(c.denominator for c in rhs))
+    ints = [c.numerator * (den // c.denominator) for c in rhs]
+    den *= d
+    return [QQ(sum(m * x for m, x in zip(row, ints)), den) for row in matrix]
 
 
 def matrix_rank(rows: list) -> int:

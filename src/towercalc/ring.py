@@ -94,12 +94,25 @@ def qq_str(value) -> str:
 _RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def require_rational(value, field: str) -> QQ:
-    """A rational field of a decoded document: only a string 'p' or 'p/q', as
-    qq_str writes it; numbers, booleans and other spellings are refused."""
+def _rational_parts(value, field: str) -> tuple:
+    """(p, q) in lowest terms, q > 0, of a rational field of a decoded
+    document: only a string 'p' or 'p/q', as qq_str writes it; numbers,
+    booleans and other spellings are refused, and q = 0 is a
+    ZeroDivisionError."""
     if not isinstance(value, str) or not _RATIONAL_TEXT.fullmatch(value):
         raise ValueError(f"{field} must be a string 'p' or 'p/q', got {value!r}")
-    return QQ(value)
+    num, _, den = value.partition("/")
+    p, q = int(num), int(den) if den else 1
+    if not q:
+        raise ZeroDivisionError(f"{field} {value!r} has a zero denominator")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def require_rational(value, field: str) -> QQ:
+    """A rational field of a decoded document as a QQ: only a string 'p' or
+    'p/q' (see _rational_parts)."""
+    return QQ(*_rational_parts(value, field))
 
 
 def grlex_key(alpha):
@@ -308,6 +321,52 @@ def _record_items(terms: dict, den: int, layout: _Layout) -> list:
             items.append((layout.alpha(key), c // g, den // g))
         out.append((keys[0] >> sc, layout.unpack(keys[0])[:2], items))
     return out
+
+
+_NOT_CANONICAL = "stored ring element is not in the canonical encoding"
+
+
+def _read_terms(n: int, recs: list, terms: list) -> None:
+    """Append (key, p, q) to terms for each term of stored records, with the
+    coefficient p/q in lowest terms and q > 0.  Only the encoding
+    _encode_records writes is read, up to how each rational is spelled
+    ("3/3" reads as 1): records in ascending (degree, r_exp) order, each
+    with its terms in descending monomial order, every monomial reduced
+    (x_1-exponent <= 1), of its record's degree and within the packing
+    bound, and no zero coefficient.  Anything else is a ValueError.  The
+    layout of n is looked up only after a monomial of n exponents has
+    passed, so a stated n far beyond the document's own size costs
+    nothing."""
+    layout = None
+    last_part = -1
+    for rec in recs:
+        d, b = require_int(rec["degree"], "degree"), require_int(rec["r_exp"], "r_exp")
+        prev = None
+        for t in rec["terms"]:
+            alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
+            if alpha and alpha[0] > 1:
+                raise ValueError(_NOT_CANONICAL)
+            p, q = _rational_parts(t["coef"], "coef")
+            _check_monomial(n, d, b, alpha)
+            if layout is None:
+                layout = _layout(n)
+            key = layout.pack(d, b, alpha)
+            if not p or (key >> layout.sb <= last_part if prev is None else key >= prev):
+                raise ValueError(_NOT_CANONICAL)
+            prev = key
+            terms.append((key, p, q))
+        if prev is None:
+            raise ValueError(_NOT_CANONICAL)
+        last_part = prev >> layout.sb
+
+
+def _table_over_lcm(terms: list) -> tuple:
+    """The table {key: p (den / q)} and den, the lcm of the qs, of terms
+    (key, p, q) with distinct keys and each p/q in lowest terms.  It is
+    canonical: a prime's full power in den divides some q, and then not
+    that term's numerator."""
+    den = lcm(*(q for _, _, q in terms))
+    return {key: p * (den // q) for key, p, q in terms}, den
 
 
 def _encode_records(parts: list) -> list:
@@ -747,27 +806,12 @@ class RadialRingElement:
     @classmethod
     def from_records(cls, n: int, recs: list) -> "RadialRingElement":
         """Decode records.  Only the encoding to_records writes is accepted, up
-        to how each rational is spelled ("3/3" reads as 1): a term split in
-        two, a zero term or a reducible monomial is a ValueError, and so is
-        a monomial outside the packing bound."""
-        raw: dict = {}
-        read = []
-        for rec in recs:
-            key = (require_int(rec["degree"], "degree"), require_int(rec["r_exp"], "r_exp"))
-            poly = raw.setdefault(key, {})
-            terms = []
-            for t in rec["terms"]:
-                alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
-                if alpha and alpha[0] > 1:
-                    raise ValueError("stored ring element is not in the canonical encoding")
-                c = require_rational(t["coef"], "coef")
-                poly[alpha] = poly.get(alpha, _Q0) + c
-                terms.append((alpha, c.numerator, c.denominator))
-            read.append((key, terms))
-        el = cls(n, raw)
-        if el._record_items() != read:
-            raise ValueError("stored ring element is not in the canonical encoding")
-        return el
+        to how each rational is spelled (see _read_terms): a term split in
+        two, a zero term, a reducible monomial or records out of order is a
+        ValueError, and so is a monomial outside the packing bound."""
+        terms: list = []
+        _read_terms(n, recs, terms)
+        return cls._make(n, *_table_over_lcm(terms))
 
     # -- display -------------------------------------------------------------
 

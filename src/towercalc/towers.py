@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 from .errors import (SCHEMA, ConsistencyError, InvalidRankError, require_int,
                      require_odd_dimension, require_schema)
-from .forms import Form, R_op, T_op, sphere_gram
+from .forms import Form, R_op, T_op, sphere_gram, sphere_inner_product
 from .harmonic import mu, seed_basis
-from .linalg import matrix_rank
+from .linalg import exact_inverse, matrix_rank
 from .ring import QQ, qq, qq_str
 
 _Q1 = QQ(1)
@@ -450,8 +450,9 @@ def checked_gram(forms: list, rank: int, line: str, degree: int) -> list:
 
 
 class TowerContext:
-    """Caches built families, block members and block Grams, and resolves
-    TowerIndex lookups per rank/line."""
+    """Caches built families, block members, block Grams and their inverses
+    and the checked exceptional slots, and resolves TowerIndex lookups per
+    rank/line."""
 
     def __init__(self, n: int):
         require_odd_dimension(n)
@@ -459,6 +460,8 @@ class TowerContext:
         self._families: dict = {}
         self._blocks: dict = {}
         self._block_grams: dict = {}
+        self._block_inverses: dict = {}
+        self._hat_grams: dict = {}
 
     def family(self, q: int, sign: int, sigma: int, floors: int) -> TowerFamily:
         key = (q, sign, sigma)
@@ -494,6 +497,17 @@ class TowerContext:
             members = self._blocks[key] = tuple(members)
         return members
 
+    def candidates(self, rank: int, line: str, degree: int, k_max: int) -> list:
+        """The members (index, form) of every block of a rank/line at one
+        coefficient degree with floor <= k_max, in (k, sign, m) order."""
+        out = []
+        for k in range(k_max + 1):
+            for sign in (1, -1):
+                sigma = degree - k if sign > 0 else k - self.n - degree
+                if sigma >= 0:
+                    out += self.block(rank, line, sign, k, sigma)
+        return out
+
     def block_gram(self, rank: int, line: str, sign: int, k: int, sigma: int) -> list:
         """checked_gram of block(rank, line, sign, k, sigma), computed on first
         use."""
@@ -503,6 +517,37 @@ class TowerContext:
             gram = checked_gram([f for _, f in self.block(*key)], rank, line,
                                 homogeneity_degree(sign, k, sigma, self.n))
             self._block_grams[key] = gram
+        return gram
+
+    def block_inverse(self, rank: int, line: str, sign: int, k: int, sigma: int) -> tuple:
+        """The exact inverse of block_gram(rank, line, sign, k, sigma) as
+        linalg.exact_inverse gives it, an integer matrix over one
+        denominator, computed on first use: the block's coefficients are
+        inverse_times(it, <piece, member>)."""
+        key = (rank, line, sign, k, sigma)
+        inverse = self._block_inverses.get(key)
+        if inverse is None:
+            inverse = self._block_inverses[key] = exact_inverse(self.block_gram(*key))
+        return inverse
+
+    def hat_gram(self, hat, rank: int, line: str, k_max: int) -> list:
+        """checked_gram of the nonzero exceptional slot hat (resolved in this
+        context) at a rank/line, after the slot is checked orthogonal to every
+        candidate of its degree with floor <= k_max; a product that is not 0
+        is a ConsistencyError.  The slot and the candidates are forms this
+        context owns, so both are computed once per (hat, rank, line,
+        k_max)."""
+        key = (hat, rank, line, k_max)
+        gram = self._hat_grams.get(key)
+        if gram is None:
+            form = hat.resolve(self)
+            degree = form.homogeneous_degree()
+            if any(sphere_inner_product(form, f)
+                   for _, f in self.candidates(rank, line, degree, k_max)):
+                raise ConsistencyError(
+                    f"exceptional slot not orthogonal to the tower members at "
+                    f"rank {rank} {line}-line degree {degree}")
+            gram = self._hat_grams[key] = checked_gram([form], rank, line, degree)
         return gram
 
     def d_form(self, rank: int, index: TowerIndex):

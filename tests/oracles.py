@@ -32,6 +32,21 @@ route:
   expand_side_full_gram  one side of an expansion through the full Gram of all
                        candidates at each degree, cross-block entries included,
                        paired by sphere_inner_product_direct
+  expand_side_by_solves  one side of an expansion block by block, as the
+                       library solved it before it cached each block's
+                       inverse: a solve_posdef of every block Gram per call,
+                       and the exceptional slot checked orthogonal to the
+                       candidates and given a fresh 1x1 Gram per call
+  fraction_sphere_inner_product  the memoised sphere pairing on Fraction
+                       restrictions and Fraction memo entries, one Fraction
+                       multiply-add per term, as the library paired before
+                       its restrictions and memos held integers
+  records_by_canonicalize  the stored-record decoder of the ring before it
+                       read integers: two Fractions per term, the full
+                       canonicalization RadialRingElement(n, raw), and a
+                       re-encode of the element compared with what was read
+  form_from_obj_by_components  Form.from_obj through records_by_canonicalize
+                       per component and the validated Form constructor
   component_*          the per-component route that forms took before the flat
                        table: one RadialRingElement per component, rank steps
                        through add_diff_into / add_var_into over the lcm of the
@@ -43,14 +58,18 @@ route:
 import itertools
 import math
 
-from towercalc.errors import (ConsistencyError, InvalidRankError,
+from itertools import groupby
+
+from towercalc.errors import (ConsistencyError, InvalidRankError, require_int,
                               require_odd_dimension)
 from towercalc.expansion import SideExpansion, tower_candidates
 from towercalc.forms import Form, coordinate_vectors, monomial_average
 from towercalc.harmonic import echelon_normalize
 from towercalc.linalg import matrix_rank, rref, solve_posdef
-from towercalc.ring import _DIGIT, QQ, R_OFFSET, RadialRingElement, _layout, reduced_monomials
-from towercalc.towers import ExceptionalFormDescriptor, TowerContext
+from towercalc.ring import (_DIGIT, QQ, R_OFFSET, RadialRingElement, _layout, reduced_monomials,
+                            require_rational)
+from towercalc.towers import (ExceptionalFormDescriptor, TowerContext, checked_gram,
+                              homogeneity_degree)
 
 _Q0 = QQ(0)
 _Q1 = QQ(1)
@@ -334,6 +353,135 @@ def expand_side_full_gram(form: Form, rank: int, line: str, k_max: int,
         side.residual = side.residual + rem
     side.exact = side.residual.is_zero()
     return side
+
+
+def expand_side_by_solves(form: Form, rank: int, line: str, k_max: int,
+                          ctx: TowerContext,
+                          hat: ExceptionalFormDescriptor | None) -> SideExpansion:
+    """Degree-by-degree expansion of one form, solved block by block with a
+    solve_posdef of each block's Gram on every call; the exceptional slot is
+    checked orthogonal to the tower members and given its 1x1 Gram on every
+    call, then solved as a block of its own."""
+    n = ctx.n
+    side = SideExpansion(residual=Form.zero(n, form.q))
+    hat_form = None
+    if hat is not None and not hat.is_zero:
+        hat_form = hat.resolve(ctx)
+        side.hat_descriptor = hat
+        side.hat_coeff = _Q0
+    degrees = set(form.coefficient_degrees())
+    if hat_form is not None:
+        degrees.add(hat_form.homogeneous_degree())
+    pieces = form.homogeneity_split()
+    for degree in sorted(degrees):
+        piece = pieces.get(degree, Form.zero(n, form.q))
+        cands = tower_candidates(ctx, rank, line, degree, k_max)
+        blocks = [(checked_gram([f for _, f in members], rank, line,
+                                homogeneity_degree(key[0], key[1], key[2], n)), members)
+                  for key, members in ((key, list(group)) for key, group in groupby(
+                      cands, key=lambda c: (c[0].sign, c[0].k, c[0].sigma)))]
+        if hat_form is not None and hat_form.homogeneous_degree() == degree:
+            if any(fraction_sphere_inner_product(hat_form, f) for _, f in cands):
+                raise ConsistencyError(
+                    f"exceptional slot not orthogonal to the tower members at "
+                    f"rank {rank} {line}-line degree {degree}")
+            blocks.append((checked_gram([hat_form], rank, line, degree),
+                           [("hat", hat_form)]))
+        rem = piece
+        for gram, members in blocks:
+            rhs = [fraction_sphere_inner_product(piece, f) for _, f in members]
+            if not any(rhs):
+                continue
+            for (slot, f), c in zip(members, solve_posdef(gram, rhs)):
+                if not c:
+                    continue
+                rem = rem - f.scale(c)
+                if slot == "hat":
+                    side.hat_coeff = c
+                else:
+                    side.coeffs[slot] = c
+        side.residual = side.residual + rem
+    side.exact = side.residual.is_zero()
+    return side
+
+
+def fraction_sphere_inner_product(a: Form, b: Form, memos: dict | None = None) -> QQ:
+    """The sphere pairing with Fraction restrictions {packed alpha: QQ} per
+    component field and a Fraction memo per field of b, kept in memos when
+    given (keyed by id(b) and the field): each term c x^alpha of a's
+    restriction adds c * avg_S(x^alpha * b's restriction)."""
+    if a.n != b.n or a.q != b.q:
+        raise ValueError("mismatched shapes in sphere inner product")
+    n = a.n
+    layout = _layout(n)
+    memos = {} if memos is None else memos
+
+    def restriction(f):
+        out: dict = {}
+        for key, c in f.terms.items():
+            slot = out.setdefault(key >> layout.sc, {})
+            alpha = key & layout.alpha_mask
+            slot[alpha] = slot.get(alpha, _Q0) + QQ(c, f.den)
+        return {field: {al: c for al, c in slot.items() if c} for field, slot in out.items()}
+
+    rb = restriction(b)
+    total = _Q0
+    for field, pa in restriction(a).items():
+        pb = rb.get(field)
+        if pb is None:
+            continue
+        memo = memos.setdefault((id(b), field), {})
+        for alpha, ca in pa.items():
+            avg = memo.get(alpha)
+            if avg is None:
+                avg = _Q0
+                for beta, cb in pb.items():
+                    gamma = alpha + beta
+                    if not gamma & layout.odd:
+                        avg += cb * monomial_average(layout.alpha(gamma), n)
+                memo[alpha] = avg
+            if avg:
+                total += ca * avg
+    return total
+
+
+def records_by_canonicalize(n: int, recs: list) -> RadialRingElement:
+    """Decode stored records: each coefficient read as a Fraction, the raw
+    table canonicalized by the constructor, and the element's own encoding
+    compared with what was read, so that only to_records' encoding (up to
+    the spelling of each rational) is accepted."""
+    raw: dict = {}
+    read = []
+    for rec in recs:
+        key = (require_int(rec["degree"], "degree"), require_int(rec["r_exp"], "r_exp"))
+        poly = raw.setdefault(key, {})
+        terms = []
+        for t in rec["terms"]:
+            alpha = tuple(require_int(e, "alpha") for e in t["alpha"])
+            if alpha and alpha[0] > 1:
+                raise ValueError("stored ring element is not in the canonical encoding")
+            c = require_rational(t["coef"], "coef")
+            poly[alpha] = poly.get(alpha, _Q0) + c
+            terms.append((alpha, c.numerator, c.denominator))
+        read.append((key, terms))
+    el = RadialRingElement(n, raw)
+    if el._record_items() != read:
+        raise ValueError("stored ring element is not in the canonical encoding")
+    return el
+
+
+def form_from_obj_by_components(obj: dict) -> Form:
+    """Decode a stored form component by component (records_by_canonicalize)
+    and assemble it with the validated constructor."""
+    n, q = require_int(obj["n"], "n"), require_int(obj["q"], "q")
+    comps = {}
+    for key, recs in obj["components"].items():
+        idx = tuple(int(s) for s in key.split(",")) if key else ()
+        el = records_by_canonicalize(n, recs)
+        if key != ",".join(map(str, idx)) or el.is_zero():
+            raise ValueError(f"component {key!r} is not in the canonical encoding")
+        comps[idx] = el
+    return Form(n, q, comps)
 
 
 # ---------------------------------------------------------------------------

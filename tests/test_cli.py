@@ -14,7 +14,8 @@ from hypothesis import given, strategies as st
 from towercalc.cli import main
 from towercalc.expansion import MaxwellPair
 from towercalc.forms import Form
-from towercalc.indices import enumerate_excluded
+from towercalc import indices
+from towercalc.indices import EXCLUDED_LIMIT, enumerate_excluded
 from towercalc.ring import MAX_EXP, qq
 from towercalc.towers import TowerContext, TowerIndex, build_tower_pair
 
@@ -624,6 +625,64 @@ def test_iterate_refuses_a_huge_seed_sigma_at_once(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "internal error" not in proc.stderr
+
+
+_FORM = str(ROOT / "perfbench" / "inputs" / "form.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--input", _FORM, "--weight", "1e400"],
+    ["classify", "--input", _FORM, "--weight", "99999999999999999999/7"],
+    ["classify", "--input", _FORM, "--weight", "225"],
+    ["indices", "--n", "3", "--q", "1", "--line", "D", "--max-floor", "3", "--weight", "111"],
+    ["indices", "--n", "3", "--q", "1", "--max-floor", str(10 ** 12), "--weight", "-1"],
+    ["indices", "--n", "3", "--q", "1", "--max-floor", "1", "--weight", "0",
+     "--both-signs", "--sigma-max", str(EXCLUDED_LIMIT)],
+    ["iterate", "--n", "3", "--q", "1", "--weight", "226", "--power", "1", "--tau", "1000"],
+    ["iterate", "--n", "3", "--q", "1", "--weight", "1e400", "--power", "1", "--tau", "1e401"],
+], ids=["classify-1e400", "classify-fraction", "classify-edge", "indices-edge",
+        "indices-floors", "indices-sigma-max", "iterate-edge", "iterate-1e400"])
+def test_excluded_sets_past_the_limit_are_refused_before_listing(capsys, monkeypatch, argv):
+    """The weights one above the largest admitted ones (224 at floor 0 and
+    110 at floors <= 3 for n = 3, q = 1) and far beyond it exit 2 with no
+    output, naming the limit; no index is built (TowerIndex is unset)."""
+    monkeypatch.setattr(indices, "TowerIndex", None)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"limit of {EXCLUDED_LIMIT}" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 0, "q": 0, "components": {"": [{"degree": 0, "r_exp": 0, "terms": []}]}},
+    {"n": 10 ** 9, "q": 0, "components": {"": []}},
+], ids=["n0-empty-record", "huge-n-empty-component"])
+def test_stored_forms_of_no_dimension_are_usage_errors(tmp_path, doc):
+    """These made the decoder re-encode through the packed layout of n,
+    which does not exist at n = 0 (exit 3) and takes memory growing as n^2
+    beyond it; they are refused before any layout is built.  The child's
+    address space is capped so that a regression fails instead of
+    exhausting the host."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    cap = ("import resource, runpy, sys; "
+           "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+           "sys.argv = ['towercalc'] + sys.argv[1:]; "
+           "runpy.run_module('towercalc.cli', run_name='__main__')")
+    proc = subprocess.run(
+        [sys.executable, "-c", cap, "classify", "--input", str(path), "--weight", "0"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert "not in the canonical encoding" in proc.stderr
+
+
+@pytest.mark.parametrize("coef,code", [("1/0", 2), ("3/3", 0), ("2/2", 0), ("0/3", 2)])
+def test_stored_coefficient_spellings_keep_their_exit_codes(tmp_path, capsys, coef, code):
+    doc = json.loads(Path(_FORM).read_text())
+    doc["components"]["1"][0]["terms"][0]["coef"] = coef
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "classify", "--input", str(path), "--weight", "0")[0] == code
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from towercalc.ring import QQ, RadialRingElement, qq
 from towercalc.towers import (TowerContext, TowerIndex, checked_gram,
                               exceptional_form)
 
-from oracles import expand_side_full_gram
+from oracles import expand_side_by_solves, expand_side_full_gram
 
 
 def make_pair(ctx, q, parts):
@@ -397,3 +398,89 @@ def test_orthogonality_and_rank_failures_are_consistency_errors(ctx3):
         _expand_side(member, 1, "D", 1, ctx3, _Slot(member.scale(qq(2))))
     with pytest.raises(ConsistencyError, match="dependent expansion candidates"):
         checked_gram([member, member.scale(qq(2))], 1, "D", 1)
+
+
+# ---------------------------------------------------------------------------
+# cached block inverses and the exceptional slot checked once per context
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_cached_block_inverses_invert_the_block_grams(ctx3, ctx5, n):
+    """Every block at k <= 3, sigma <= 2: the cached inverse is an integer
+    matrix M over one denominator d > 0 with M G = d I exactly."""
+    ctx = ctx3 if n == 3 else ctx5
+    blocks = 0
+    for line, rank in _lines(n):
+        for sign in (1, -1):
+            for k in range(4):
+                for sigma in range(3):
+                    key = (rank, line, sign, k, sigma)
+                    if not ctx.block(*key):
+                        continue
+                    matrix, d = inverse = ctx.block_inverse(*key)
+                    assert ctx.block_inverse(*key) is inverse
+                    gram = ctx.block_gram(*key)
+                    assert type(d) is int and d > 0
+                    assert all(type(m) is int for row in matrix for m in row)
+                    # M G = d I, on the integer matrix G * (lcm of its denominators)
+                    size, den = len(gram), math.lcm(*(g.denominator for row in gram for g in row))
+                    columns = [[(j, int(row[l] * den)) for j, row in enumerate(gram) if row[l]]
+                               for l in range(size)]
+                    assert [[sum(matrix[i][j] * g for j, g in columns[l])
+                             for l in range(size)] for i in range(size)] == \
+                        [[d * den if i == l else 0 for l in range(size)] for i in range(size)]
+                    blocks += 1
+    assert blocks > 100
+
+
+@given(data=st.data())
+def test_cached_inverses_match_the_per_call_solves(ctx3, ctx5, data):
+    """The cached-inverse route gives what a solve of every block Gram and a
+    fresh orthogonality check of the exceptional slot give on each call, on
+    member mixtures with and without the slot and a form outside the span."""
+    draw = data.draw
+    n, k_max_bound, sigma_max = draw(st.sampled_from(_BLOCK_GRID))
+    ctx = ctx3 if n == 3 else ctx5
+    line, rank = draw(st.sampled_from(_lines(n)))
+    k_max = draw(st.integers(0, k_max_bound))
+    hat = exceptional_form("D_hat" if line == "D" else "R_hat", n, rank, k_max + 1)
+    degrees = draw(st.lists(st.sampled_from(_degrees(n, k_max, sigma_max)),
+                            min_size=1, max_size=3, unique=True))
+    coef = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    form = Form.zero(n, rank)
+    for degree in degrees:
+        for _, f in tower_candidates(ctx, rank, line, degree, k_max):
+            if draw(st.booleans()):
+                form = form + f.scale(draw(coef))
+    if not hat.is_zero and draw(st.booleans()):
+        form = form + hat.resolve(ctx).scale(draw(coef))
+    if draw(st.booleans()):
+        form = form + _outside_form(n, rank, draw(st.sampled_from(degrees)), draw)
+    for _ in range(2):                        # the second call reads the caches
+        got = _expand_side(form, rank, line, k_max, ctx, hat)
+        want = expand_side_by_solves(form, rank, line, k_max, ctx, hat)
+        assert (got.coeffs, got.hat_descriptor, got.hat_coeff, got.residual, got.exact) == \
+            (want.coeffs, want.hat_descriptor, want.hat_coeff, want.residual, want.exact)
+
+
+def test_exceptional_slot_is_checked_once_per_context(monkeypatch):
+    """The slot's orthogonality products and its 1x1 Gram are made on the
+    first expansion only; a fresh context makes them again."""
+    from towercalc import towers
+    calls = []
+    real = towers.sphere_inner_product
+    monkeypatch.setattr(towers, "sphere_inner_product",
+                        lambda a, b: calls.append(1) or real(a, b))
+    pair = make_pair(TowerContext(3), 1, [("e", TowerIndex(1, 1, 1, 2), "3/7"),
+                                         ("h", TowerIndex(1, 2, 0, 1), "-5")])
+    ctx = TowerContext(3)
+    first = expand(pair, 3, ctx)
+    made = len(calls)
+    assert made > 0 and first.e_side.hat_descriptor is not None
+    hat = first.e_side.hat_descriptor
+    gram = ctx.hat_gram(hat, 1, "D", 2)
+    assert expand(pair, 3, ctx).to_obj() == first.to_obj()
+    assert len(calls) == made
+    assert ctx.hat_gram(hat, 1, "D", 2) is gram
+    expand(pair, 3, TowerContext(3))
+    assert len(calls) > made

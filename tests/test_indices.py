@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from towercalc import towers
+from towercalc import indices, towers
 from towercalc.errors import HypothesisError
 from towercalc.harmonic import mu
-from towercalc.indices import (enumerate_excluded, exceptional_weights,
-                               excluded_empty_weight_bound, in_weighted_l2,
+from towercalc.indices import (EXCLUDED_LIMIT, enumerate_excluded, exceptional_weights,
+                               excluded_empty_weight_bound, excluded_work, in_weighted_l2,
                                is_exceptional_weight, multiplicity,
                                negate_index, require_hypotheses, shift_index,
                                validate_hypotheses)
@@ -91,6 +91,57 @@ def test_excluded_empty_iff_weight_below_bound():
         at = qq(bound)
         assert enumerate_excluded(n, 1, "D", k_max, below) == []
         assert enumerate_excluded(n, 1, "D", k_max, at) != []
+
+
+def test_seed_multiplicity_is_nondecreasing_in_sigma():
+    """excluded_work bounds a floor's members by its sigma span times mu at
+    the top of the span; that needs mu nondecreasing for 0 < p < n."""
+    for n in range(3, 22, 2):
+        for p in range(1, n):
+            counts = [mu(n, p, sigma) for sigma in range(300)]
+            assert counts == sorted(counts), (n, p)
+
+
+@pytest.mark.parametrize("n,top", [(3, 12), (5, 6), (7, 3)])
+def test_excluded_work_bounds_the_listing(n, top):
+    weights = [QQ(x, 4) for x in range(-20, 4 * top, 3)]
+    for line, ranks in (("D", range(n)), ("R", range(1, n + 1))):
+        for rank in ranks:
+            for k_max in range(4):
+                for s in weights:
+                    for sigma_max in (None, 0, 1):
+                        work = excluded_work(n, rank, line, k_max, s, sigma_max)
+                        if work <= EXCLUDED_LIMIT:
+                            got = enumerate_excluded(n, rank, line, k_max, s,
+                                                     negative_only=sigma_max is None,
+                                                     sigma_max=sigma_max)
+                            assert len(got) <= work
+
+
+# (n, rank, line, k_max, largest admitted integer weight): the weight one above
+# it passes EXCLUDED_LIMIT
+_EDGES = [(3, 1, "D", 3, 110), (3, 1, "D", 0, 224), (3, 2, "R", 0, 224), (5, 2, "D", 1, 15)]
+
+
+@pytest.mark.parametrize("n,rank,line,k_max,edge", _EDGES)
+def test_the_first_weight_over_the_limit_is_refused_before_listing(monkeypatch, n, rank,
+                                                                   line, k_max, edge):
+    assert excluded_work(n, rank, line, k_max, edge) <= EXCLUDED_LIMIT
+    monkeypatch.setattr(indices, "TowerIndex", None)      # listing would raise TypeError
+    for s in (edge + 1, QQ(99999999999999999999, 7), QQ(10) ** 400):
+        assert excluded_work(n, rank, line, k_max, s) > EXCLUDED_LIMIT
+        with pytest.raises(ValueError, match=f"limit of {EXCLUDED_LIMIT}"):
+            enumerate_excluded(n, rank, line, k_max, s)
+
+
+@pytest.mark.parametrize("k_max,s,sigma_max", [(EXCLUDED_LIMIT, 0, None), (10 ** 12, -10 ** 12, None),
+                                               (2, 1, EXCLUDED_LIMIT), (0, -10, 10 ** 30)])
+def test_huge_floor_counts_and_sigma_caps_are_refused_before_listing(monkeypatch, k_max, s,
+                                                                      sigma_max):
+    monkeypatch.setattr(indices, "TowerIndex", None)
+    with pytest.raises(ValueError, match=f"limit of {EXCLUDED_LIMIT}"):
+        enumerate_excluded(3, 1, "D", k_max, qq(s), negative_only=sigma_max is None,
+                           sigma_max=sigma_max)
 
 
 def test_shift_index_and_parity():
