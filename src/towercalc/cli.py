@@ -20,7 +20,7 @@ from .expansion import (MaxwellPair, expand, lemma34_classify,
                         membership_filter)
 from .forms import Form
 from .harmonic import mu
-from .indices import (enumerate_excluded, exceptional_weights,
+from .indices import (EXCLUDED_LIMIT, enumerate_excluded, exceptional_weights,
                       is_exceptional_weight)
 from .ring import qq, qq_str, require_rational
 from .static_op import TowerProfile, apply_L_power, apply_L_profile
@@ -223,8 +223,15 @@ def cmd_iterate(args) -> int:
         profile = TowerProfile(n=args.n, q=args.q, s=s,
                                f_coeffs=f_coeffs, g_coeffs=g_coeffs)
         chain = [profile]
+        held = 0
         for _ in range(args.power):
             chain.append(apply_L_profile(chain[-1], tau))
+            # each step keeps every index and adds an excluded set, so the
+            # chain grows as power x weight^2 and is bounded as a whole
+            held += len(chain[-1].f_coeffs) + len(chain[-1].g_coeffs)
+            if held > EXCLUDED_LIMIT:
+                raise UsageError(f"the profiles of {args.power} steps hold more than "
+                                 f"the limit of {EXCLUDED_LIMIT} indices")
         _, desc = apply_L_power(profile, args.power, tau)
     except (HypothesisError, ValueError) as ex:
         raise UsageError(f"inadmissible iteration input: {ex}")

@@ -652,6 +652,16 @@ def test_excluded_sets_past_the_limit_are_refused_before_listing(capsys, monkeyp
     assert f"limit of {EXCLUDED_LIMIT}" in err
 
 
+def test_iterate_refuses_a_profile_chain_past_the_limit(capsys):
+    """Every excluded set of weight 40, power 40 is admitted, but the chain
+    keeps them all (it passed 2.8 GB before this bound); it is refused once
+    the profiles hold more than the limit."""
+    code, out, err = run(capsys, "iterate", "--n", "3", "--q", "1", "--weight", "40",
+                         "--power", "40", "--tau", "1000")
+    assert (code, out) == (2, "")
+    assert f"limit of {EXCLUDED_LIMIT} indices" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 0, "q": 0, "components": {"": [{"degree": 0, "r_exp": 0, "terms": []}]}},
     {"n": 10 ** 9, "q": 0, "components": {"": []}},
