@@ -48,8 +48,7 @@ def excluded_work(n: int, rank: int, line: str, k_max: int, s,
     first = math.floor(s - QQ(n, 2))
     work = 0
     for k in range(k_max + 1):
-        spans = [first + k] + ([] if sigma_max is None else [sigma_max])
-        for top in spans:
+        for top in (first + k, -1 if sigma_max is None else sigma_max):
             if top < 0:
                 continue
             if top >= EXCLUDED_LIMIT:
