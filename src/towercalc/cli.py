@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import sys
+from functools import cache, lru_cache
 
-from .errors import (DECODE_ERRORS, SCHEMA, HypothesisError, require_int,
+from .errors import (DECODE_ERRORS, SCHEMA, HypothesisError, require_dim,
                      require_odd_dimension, require_schema)
 from .expansion import (MaxwellPair, expand, lemma34_classify,
                         membership_filter)
@@ -23,7 +24,8 @@ from .harmonic import mu
 from .indices import (EXCLUDED_LIMIT, enumerate_excluded, exceptional_weights,
                       is_exceptional_weight)
 from .ring import qq, qq_str, require_rational
-from .static_op import TowerProfile, apply_L_power, apply_L_profile
+from .static_op import (TowerProfile, apply_L_profile, range_descriptor,
+                        require_power)
 from .towers import (TowerContext, TowerFamily, TowerIndex, build_tower_pair,
                      multiplicity, verify_family, verify_low_floor_harmonicity)
 
@@ -58,7 +60,62 @@ def _emit(out: str | None, text: str) -> None:
 
 
 def _emit_json(out: str | None, obj) -> None:
-    _emit(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    parts: list = []
+    _write_json(obj, 0, parts)
+    parts.append("\n")
+    _emit(out, "".join(parts))
+
+
+_quote = json.encoder.encode_basestring_ascii
+# every term of a form has the keys "alpha" and "coef": one quoted copy each
+_quote_key = lru_cache(maxsize=1024)(_quote)
+
+
+@cache
+def _json_level(level: int) -> tuple:
+    """(newline, "{" + inner, "[" + inner, "," + inner) of a container at an
+    indent level, where inner is the newline of its items; every container
+    of the level shares them."""
+    newline = "\n" + "  " * level
+    inner = newline + "  "
+    return newline, "{" + inner, "[" + inner, "," + inner
+
+
+def _write_json(obj, level: int, parts: list) -> None:
+    """Append to parts the text json.dumps(obj, indent=2, sort_keys=True)
+    writes for obj at an indent level.  json turns off its C encoder when
+    asked to indent; this writer keeps the common case, a list of ints, to
+    one join.  A key that is not a str is a TypeError from the quoting,
+    where json would coerce it."""
+    if isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        newline, sep, _, comma = _json_level(level)
+        for key in sorted(obj):
+            parts += (sep, _quote_key(key), ": ")
+            _write_json(obj[key], level + 1, parts)
+            sep = comma
+        parts += (newline, "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        newline, _, sep, comma = _json_level(level)
+        if all(type(v) is int for v in obj):
+            parts += (sep, comma.join(map(str, obj)), newline, "]")
+            return
+        for value in obj:
+            parts.append(sep)
+            _write_json(value, level + 1, parts)
+            sep = comma
+        parts += (newline, "]")
+    elif type(obj) is int:
+        parts.append(str(obj))
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _emit_csv(out: str | None, rows) -> None:
@@ -127,7 +184,7 @@ def _families_from_obj(obj) -> list:
     if obj.get("kind") == "tower_family":
         return [TowerFamily.from_obj(obj)]
     if obj.get("kind") == "tower_family_set":
-        n = require_int(obj["n"], "n")
+        n = require_dim(obj["n"])
         families = [TowerFamily.from_obj(fo) for fo in obj["families"]]
         if any(fam.n != n for fam in families):
             raise ValueError(f"a family of the set is not of the set's dimension n={n}")
@@ -232,7 +289,9 @@ def cmd_iterate(args) -> int:
             if held > EXCLUDED_LIMIT:
                 raise UsageError(f"the profiles of {args.power} steps hold more than "
                                  f"the limit of {EXCLUDED_LIMIT} indices")
-        _, desc = apply_L_power(profile, args.power, tau)
+        # checked after the steps, so that a step's own refusal is reported first
+        require_power(profile, args.power, tau)
+        desc = range_descriptor(chain)
     except (HypothesisError, ValueError) as ex:
         raise UsageError(f"inadmissible iteration input: {ex}")
     _emit_json(args.out, {"schema": SCHEMA, "kind": "iteration",

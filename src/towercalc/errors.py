@@ -22,6 +22,13 @@ DECODE_ERRORS = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionEr
 
 SCHEMA = "towercalc/1"
 
+# The largest dimension a decoded document may state.  The packed layout of
+# n (ring._layout) takes memory growing as n^2, so a small document stating a
+# large n could exhaust the host (a 6 KB form at n = 2001 took 140 MB).  The
+# layout of n = 99 is small, and near this bound even the smallest family
+# takes about 1 GB to build.
+MAX_DIM = 99
+
 
 def require_schema(obj) -> None:
     """A decoded document may leave out its schema field, but a schema it
@@ -42,3 +49,12 @@ def require_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def require_dim(value) -> int:
+    """The dimension n a decoded document states: an integer <= MAX_DIM."""
+    n = require_int(value, "n")
+    if n > MAX_DIM:
+        raise ValueError(f"n = {n} is above the largest dimension a document "
+                         f"may state, {MAX_DIM}")
+    return n

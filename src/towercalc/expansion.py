@@ -30,32 +30,30 @@ products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 
 from .errors import SCHEMA, require_int
 from .forms import Form, sphere_inner_product
 from .indices import enumerate_excluded, in_weighted_l2, shift_index
 from .linalg import inverse_times, solve_posdef
+from .records import Record
 from .ring import QQ, qq, qq_str
 from .towers import ExceptionalFormDescriptor, TowerContext, exceptional_form
 
 _Q0 = QQ(0)
 
 
-@dataclass
-class MaxwellPair:
+class MaxwellPair(Record):
     """A rank-(q, q+1) pair of forms on the same space."""
 
-    e: Form
-    h: Form
+    _fields = ("e", "h")
 
-    def __post_init__(self):
-        if self.e.n != self.h.n:
+    def __init__(self, e: Form, h: Form):
+        if e.n != h.n:
             raise ValueError("mixed dimensions in pair")
-        if self.h.q != self.e.q + 1:
-            raise ValueError(
-                f"pair ranks must be (q, q+1), got ({self.e.q}, {self.h.q})")
+        if h.q != e.q + 1:
+            raise ValueError(f"pair ranks must be (q, q+1), got ({e.q}, {h.q})")
+        self.e, self.h = e, h
 
     @property
     def n(self) -> int:
@@ -114,15 +112,17 @@ def tower_candidates(ctx: TowerContext, rank: int, line: str, degree: int,
     return ctx.candidates(rank, line, degree, k_max)
 
 
-@dataclass
-class SideExpansion:
-    """One side of an expansion: tower coefficients plus the exceptional slot."""
+class SideExpansion(Record):
+    """One side of an expansion: tower coefficients plus the exceptional slot.
+    hat_coeff is a QQ when the slot exists, else None."""
 
-    coeffs: dict = field(default_factory=dict)
-    hat_descriptor: object = None
-    hat_coeff: object = None          # QQ when the slot exists, else None
-    residual: Form = None
-    exact: bool = True
+    _fields = ("coeffs", "hat_descriptor", "hat_coeff", "residual", "exact")
+
+    def __init__(self, coeffs: dict | None = None, hat_descriptor=None,
+                 hat_coeff=None, residual: Form | None = None, exact: bool = True):
+        self.coeffs = {} if coeffs is None else coeffs
+        self.hat_descriptor, self.hat_coeff = hat_descriptor, hat_coeff
+        self.residual, self.exact = residual, exact
 
 
 def _expand_side(form: Form, rank: int, line: str, k_max: int,
@@ -168,13 +168,15 @@ def _expand_side(form: Form, rank: int, line: str, k_max: int,
     return side
 
 
-@dataclass
-class ExpansionResult:
-    n: int
-    q: int
-    k_max: int
-    e_side: SideExpansion
-    h_side: SideExpansion
+class ExpansionResult(Record):
+    """Both sides of the expansion of a rank-(q, q+1) pair over floors <= k_max."""
+
+    _fields = ("n", "q", "k_max", "e_side", "h_side")
+
+    def __init__(self, n: int, q: int, k_max: int, e_side: SideExpansion,
+                 h_side: SideExpansion):
+        self.n, self.q, self.k_max = n, q, k_max
+        self.e_side, self.h_side = e_side, h_side
 
     @property
     def exact(self) -> bool:

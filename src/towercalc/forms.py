@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import cache
 from math import lcm
 
-from .errors import require_int
+from .errors import require_dim, require_int
 from .ring import (_DIGIT, D_OFFSET, QQ, RadialRingElement, _diff_terms, _encode_records,
                    _laplacian_terms, _layout, _normalized, _plus_terms, _read_terms,
                    _record_items, _scaled_terms, _shifted_terms, _table_over_lcm,
@@ -389,7 +389,7 @@ class Form:
         """Decode a stored form into its one table.  Only the encoding to_obj
         writes is accepted (up to the spelling of each rational, see
         ring._read_terms): a padded component key or a zero component is a
-        ValueError."""
+        ValueError, and so is an n above MAX_DIM."""
         n, q = require_int(obj["n"], "n"), require_int(obj["q"], "q")
         if not 0 <= q <= n:
             raise ValueError(f"form rank {q} outside 0..{n}")
@@ -404,6 +404,9 @@ class Form:
                 raise ValueError(f"component {key!r} is not in the canonical encoding")
             top = _field(idx, n) << _layout(n).sc
             terms += [(top + k, p, d) for k, p, d in read]
+        # _read_terms bounds n before it builds a layout; this bounds a form
+        # without components
+        require_dim(n)
         return cls._make(n, q, *_table_over_lcm(terms))
 
     def __str__(self):

@@ -21,13 +21,13 @@ import json
 import os
 import sys
 import threading
-from dataclasses import dataclass
 from math import comb
 
 from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension, require_schema)
 from .forms import Form, R_op, T_op, _field, coordinate_vectors
 from .linalg import rref
+from .records import FrozenRecord
 from .ring import QQ, RadialRingElement, _layout, reduced_monomials
 
 _Q1 = QQ(1)
@@ -107,14 +107,13 @@ def _biclosed_operators(n: int, q: int) -> list:
 # seed spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeedSpace:
+class SeedSpace(FrozenRecord):
     """Canonical basis of the bi-closed homogeneous forms of one (rank, degree)."""
 
-    n: int
-    q: int
-    degree: int
-    forms: tuple = ()
+    _fields = ("n", "q", "degree", "forms")
+
+    def __init__(self, n: int, q: int, degree: int, forms: tuple = ()):
+        self._freeze(n=n, q=q, degree=degree, forms=forms)
 
     @property
     def dim(self) -> int:

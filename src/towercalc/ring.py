@@ -70,7 +70,7 @@ from functools import cache, reduce
 from math import gcd, lcm
 from operator import or_
 
-from .errors import require_int
+from .errors import require_dim, require_int
 
 _Q0 = QQ(0)
 
@@ -335,8 +335,8 @@ def _read_terms(n: int, recs: list, terms: list) -> None:
     (x_1-exponent <= 1), of its record's degree and within the packing
     bound, and no zero coefficient.  Anything else is a ValueError.  The
     layout of n is looked up only after a monomial of n exponents has
-    passed, so a stated n far beyond the document's own size costs
-    nothing."""
+    passed, and only for n <= MAX_DIM, so a stated n far beyond the
+    document's own size costs nothing."""
     layout = None
     last_part = -1
     for rec in recs:
@@ -349,7 +349,7 @@ def _read_terms(n: int, recs: list, terms: list) -> None:
             p, q = _rational_parts(t["coef"], "coef")
             _check_monomial(n, d, b, alpha)
             if layout is None:
-                layout = _layout(n)
+                layout = _layout(require_dim(n))
             key = layout.pack(d, b, alpha)
             if not p or (key >> layout.sb <= last_part if prev is None else key >= prev):
                 raise ValueError(_NOT_CANONICAL)

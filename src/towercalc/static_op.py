@@ -12,13 +12,12 @@ an opaque marker for the integrable remainder it cannot resolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import SCHEMA, ConsistencyError, HypothesisError
 from .forms import Form
 from .indices import (enumerate_excluded, in_weighted_l2,
                       is_exceptional_weight, require_hypotheses, shift_index)
 from .expansion import MaxwellPair, _expand_side, expand
+from .records import Record
 from .ring import QQ, qq, qq_str
 from .towers import TowerContext
 
@@ -116,8 +115,7 @@ def _as_expr(c) -> LinExpr:
     return c if isinstance(c, LinExpr) else LinExpr(c)
 
 
-@dataclass
-class TowerProfile:
+class TowerProfile(Record):
     """Non-integrable tower data of a pair at weight s.
 
     f_coeffs carries the D-side (rank q) coefficients, g_coeffs the R-side
@@ -125,24 +123,20 @@ class TowerProfile:
     integrable remainder is represented only by the l2_part marker.
     """
 
-    n: int
-    q: int
-    s: object
-    f_coeffs: dict = field(default_factory=dict)
-    g_coeffs: dict = field(default_factory=dict)
-    l2_part: bool = True
-    step: int = 0
+    _fields = ("n", "q", "s", "f_coeffs", "g_coeffs", "l2_part", "step")
 
-    def __post_init__(self):
-        if not 1 <= self.q <= self.n - 2:
+    def __init__(self, n: int, q: int, s, f_coeffs: dict | None = None,
+                 g_coeffs: dict | None = None, l2_part: bool = True, step: int = 0):
+        if not 1 <= q <= n - 2:
             raise ValueError(
-                f"profile rank q={self.q} outside 1..{self.n - 2} "
+                f"profile rank q={q} outside 1..{n - 2} "
                 "(extreme ranks carry exceptional slots the bookkeeping excludes)")
-        self.s = qq(self.s)
-        if is_exceptional_weight(self.s, self.n):
+        self.n, self.q, self.s = n, q, qq(s)
+        if is_exceptional_weight(self.s, n):
             raise HypothesisError(f"weight s={qq_str(self.s)} is exceptional")
-        self.f_coeffs = {i: _as_expr(c) for i, c in self.f_coeffs.items()}
-        self.g_coeffs = {i: _as_expr(c) for i, c in self.g_coeffs.items()}
+        self.f_coeffs = {i: _as_expr(c) for i, c in (f_coeffs or {}).items()}
+        self.g_coeffs = {i: _as_expr(c) for i, c in (g_coeffs or {}).items()}
+        self.l2_part, self.step = l2_part, step
         for idx in list(self.f_coeffs) + list(self.g_coeffs):
             if in_weighted_l2(idx, self.s, self.n):
                 raise ValueError(
@@ -201,22 +195,22 @@ def apply_L_profile(profile: TowerProfile, tau=None) -> TowerProfile:
                         l2_part=profile.l2_part, step=step)
 
 
-@dataclass
-class OperatorRangeDescriptor:
+class OperatorRangeDescriptor(Record):
     """Where j applications send a profile: the target index sets and every
-    weight t whose space contains the whole range."""
+    weight t whose space contains the whole range.  max_data_degree is over
+    the source data, None when it is empty."""
 
-    n: int
-    q: int
-    source_weight: object
-    power: int
-    target_weight: object
-    new_d: list
-    new_r: list
-    shifted_d: list
-    shifted_r: list
-    max_data_degree: object          # over the source data; None when empty
-    parity_swapped: bool = False
+    _fields = ("n", "q", "source_weight", "power", "target_weight", "new_d",
+               "new_r", "shifted_d", "shifted_r", "max_data_degree", "parity_swapped")
+
+    def __init__(self, n: int, q: int, source_weight, power: int, target_weight,
+                 new_d: list, new_r: list, shifted_d: list, shifted_r: list,
+                 max_data_degree, parity_swapped: bool = False):
+        self.n, self.q, self.power = n, q, power
+        self.source_weight, self.target_weight = source_weight, target_weight
+        self.new_d, self.new_r = new_d, new_r
+        self.shifted_d, self.shifted_r = shifted_d, shifted_r
+        self.max_data_degree, self.parity_swapped = max_data_degree, parity_swapped
 
     def t_bounds(self) -> dict:
         """The three admissibility constraints on t (None = vacuous)."""
@@ -270,29 +264,41 @@ class OperatorRangeDescriptor:
                              for k, v in b.items()}}
 
 
-def apply_L_power(profile: TowerProfile, j: int, tau=None):
-    """j-fold application; returns (profile, OperatorRangeDescriptor)."""
+def require_power(profile: TowerProfile, j: int, tau=None) -> None:
+    """The hypotheses of a j-fold application to profile: j >= 1 and the
+    operator_power context."""
     if j < 1:
         raise ValueError("power j must be >= 1")
-    n, q, s = profile.n, profile.q, profile.s
-    require_hypotheses("operator_power", n, s, tau, j=j,
+    require_hypotheses("operator_power", profile.n, profile.s, tau, j=j,
                        max_degree=profile.max_degree())
+
+
+def range_descriptor(chain: list) -> OperatorRangeDescriptor:
+    """The range of the application that took chain[0] to chain[-1], where
+    chain lists the profile after each apply_L_profile step."""
+    profile, cur, j = chain[0], chain[-1], len(chain) - 1
     src_f, src_g = set(profile.f_coeffs), set(profile.g_coeffs)
-    max_h = profile.max_degree()
-    cur = profile
-    for _ in range(j):
-        cur = apply_L_profile(cur, tau)
     shifts = {idx: shift_index(idx, j)[0] for idx in src_f | src_g}
     odd = j % 2 == 1
     shifted_d = sorted(shifts[i] for i in (src_g if odd else src_f))
     shifted_r = sorted(shifts[i] for i in (src_f if odd else src_g))
-    new_d = [i for i in sorted(cur.f_coeffs) if i not in set(shifted_d)]
-    new_r = [i for i in sorted(cur.g_coeffs) if i not in set(shifted_r)]
-    desc = OperatorRangeDescriptor(
-        n=n, q=q, source_weight=s, power=j, target_weight=cur.s,
-        new_d=new_d, new_r=new_r, shifted_d=shifted_d, shifted_r=shifted_r,
-        max_data_degree=max_h, parity_swapped=odd)
-    return cur, desc
+    old_d, old_r = set(shifted_d), set(shifted_r)
+    new_d = [i for i in sorted(cur.f_coeffs) if i not in old_d]
+    new_r = [i for i in sorted(cur.g_coeffs) if i not in old_r]
+    return OperatorRangeDescriptor(
+        n=profile.n, q=profile.q, source_weight=profile.s, power=j,
+        target_weight=cur.s, new_d=new_d, new_r=new_r, shifted_d=shifted_d,
+        shifted_r=shifted_r, max_data_degree=profile.max_degree(),
+        parity_swapped=odd)
+
+
+def apply_L_power(profile: TowerProfile, j: int, tau=None):
+    """j-fold application; returns (profile, OperatorRangeDescriptor)."""
+    require_power(profile, j, tau)
+    chain = [profile]
+    for _ in range(j):
+        chain.append(apply_L_profile(chain[-1], tau))
+    return chain[-1], range_descriptor(chain)
 
 
 # ---------------------------------------------------------------------------

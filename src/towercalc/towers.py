@@ -21,13 +21,14 @@ weighted expansions single out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import (SCHEMA, ConsistencyError, InvalidRankError, require_int,
-                     require_odd_dimension, require_schema)
+from .errors import (SCHEMA, ConsistencyError, InvalidRankError, require_dim,
+                     require_int, require_odd_dimension, require_schema)
 from .forms import Form, R_op, T_op, sphere_gram, sphere_inner_product
 from .harmonic import mu, seed_basis
 from .linalg import exact_inverse, matrix_rank
+from .records import FrozenRecord, Record
 from .ring import QQ, qq, qq_str
 
 _Q1 = QQ(1)
@@ -47,20 +48,19 @@ def _require_sign(value) -> int:
 # indices and coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class TowerIndex:
-    """Position of one tower member: (sign, floor k, sector sigma, member m)."""
+class TowerIndex(namedtuple("TowerIndex", "sign k sigma m")):
+    """Position of one tower member: (sign, floor k, sector sigma, member m).
+    A tuple, so hash, == and the lexicographic order are the field tuple's."""
 
-    sign: int
-    k: int
-    sigma: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1/-1, got {self.sign}")
-        if self.k < 0 or self.sigma < 0 or self.m < 1:
+    def __new__(cls, sign: int, k: int, sigma: int, m: int):
+        self = tuple.__new__(cls, (sign, k, sigma, m))
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1/-1, got {sign}")
+        if k < 0 or sigma < 0 or m < 1:
             raise ValueError(f"bad tower index {self}")
+        return self
 
     def degree(self, n: int) -> int:
         """Coefficient homogeneity degree of the member."""
@@ -202,19 +202,17 @@ def b_chain(seed: Form, degree: int, floors: int) -> list:
 # families
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TowerFamily:
+class TowerFamily(Record):
     """Assembled D/R tower pair.  d_floors[k] lists the rank-q members of
     floor k (even floors from the A ladders, odd from the B ladders);
     r_floors[k] the rank-(q+1) members."""
 
-    n: int
-    q: int
-    sign: int
-    sigma: int
-    floors: int
-    d_floors: list
-    r_floors: list
+    _fields = ("n", "q", "sign", "sigma", "floors", "d_floors", "r_floors")
+
+    def __init__(self, n: int, q: int, sign: int, sigma: int, floors: int,
+                 d_floors: list, r_floors: list):
+        self.n, self.q, self.sign, self.sigma = n, q, sign, sigma
+        self.floors, self.d_floors, self.r_floors = floors, d_floors, r_floors
 
     @property
     def omega_sq(self) -> int:
@@ -271,7 +269,7 @@ class TowerFamily:
             raise ValueError(
                 f"floors is {floors} but d_floors/r_floors hold "
                 f"{len(d_floors)}/{len(r_floors)} floors")
-        fam = cls(n=require_int(obj["n"], "n"), q=require_int(obj["q"], "q"),
+        fam = cls(n=require_dim(obj["n"]), q=require_int(obj["q"], "q"),
                   sign=_require_sign(obj["sign"]),
                   sigma=require_int(obj["sigma"], "sigma"), floors=floors,
                   d_floors=d_floors, r_floors=r_floors)
@@ -574,8 +572,7 @@ class TowerContext:
 # exceptional forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExceptionalFormDescriptor:
+class ExceptionalFormDescriptor(FrozenRecord):
     """Which decaying bootstrapped member (if any) a weighted expansion
     without/with moment conditions singles out at rank q, height K.
 
@@ -584,15 +581,13 @@ class ExceptionalFormDescriptor:
     weight (None for the unweighted tables).  When is_zero, resolve() is None.
     """
 
-    kind: str
-    n: int
-    q: int
-    K: int
-    s: object = None
-    is_zero: bool = True
-    family_q: int = -1
-    line: str = ""
-    floor: int = -1
+    _fields = ("kind", "n", "q", "K", "s", "is_zero", "family_q", "line", "floor")
+
+    def __init__(self, kind: str, n: int, q: int, K: int, s=None,
+                 is_zero: bool = True, family_q: int = -1, line: str = "",
+                 floor: int = -1):
+        self._freeze(kind=kind, n=n, q=q, K=K, s=s, is_zero=is_zero,
+                     family_q=family_q, line=line, floor=floor)
 
     def resolve(self, ctx: TowerContext):
         if self.is_zero:

@@ -53,9 +53,12 @@ route:
                        component denominators (component_rot, _div, _r_op,
                        _t_op), and scale, mul_r_power, + and - and the memoised
                        sphere pairing component by component
+  indented_json        the CLI's JSON text through json.dumps(indent=2,
+                       sort_keys=True), which runs json's pure-Python encoder
 """
 
 import itertools
+import json
 import math
 
 from itertools import groupby
@@ -847,3 +850,8 @@ def component_hodge_star(f: Form) -> Form:
         inversions = sum(1 for j in comp for i in idx if i > j)
         out[comp] = -el if inversions % 2 else el
     return Form(f.n, f.n - f.q, out)
+
+
+def indented_json(obj) -> str:
+    """The text cli._emit_json writes for obj."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

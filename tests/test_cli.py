@@ -16,7 +16,8 @@ from towercalc.expansion import MaxwellPair
 from towercalc.forms import Form
 from towercalc import indices
 from towercalc.indices import EXCLUDED_LIMIT, enumerate_excluded
-from towercalc.ring import MAX_EXP, qq
+from towercalc.errors import MAX_DIM
+from towercalc.ring import MAX_EXP, _layout, qq
 from towercalc.towers import TowerContext, TowerIndex, build_tower_pair
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -473,6 +474,82 @@ def test_unmutated_fuzz_base_set_verifies(tmp_path, capsys):
     assert len({line.split()[1] for line in lines}) == 4
 
 
+# -- fuzzing the classify form and the iterate --seed document ----------------
+
+_MUTANTS = _JSON_VALUES + [-1, 0, 1, 2, 3, 5, 10 ** 9, "+", "-", "1/2", "-3", "0", "1/0",
+                           "towercalc/1", "profile_seed", "maxwell_pair"]
+# a fresh copy of each drawn value, so that no container is shared
+_MUTANT = st.sampled_from(_MUTANTS).map(lambda v: json.loads(json.dumps(v)))
+_FIELD_NAMES = ["n", "q", "kind", "schema", "components", "degree", "r_exp", "terms",
+                "alpha", "coef", "sign", "k", "sigma", "m", "coeff", "f_coeffs",
+                "g_coeffs", "1", "2", "1,2", ""]
+
+
+@st.composite
+def mutated_documents(draw, base):
+    """base with one or two edits, each dropping an entry, replacing a value
+    or adding a named entry; the result may or may not be well formed."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = list(_nodes(doc))
+        op = draw(st.sampled_from(["drop", "replace", "add"]))
+        if op == "add":
+            target = draw(st.sampled_from([v for _, v in nodes if isinstance(v, (dict, list))]))
+            value = draw(_MUTANT)
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(_FIELD_NAMES))] = value
+            else:
+                target.append(value)
+            continue
+        if len(nodes) == 1:
+            continue
+        path, _ = draw(st.sampled_from(nodes[1:]))
+        parent = _at(doc, path[:-1])
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_MUTANT)
+    return doc
+
+
+def _exit_without_fault(argv, doc) -> int:
+    """main(argv) on doc written to {path}; it must exit 0, 1 or 2 and print
+    no traceback and no internal error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(path=path) for a in argv])
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue()
+    assert code in (0, 1, 2), err.getvalue()
+    assert code != 2 or out.getvalue() == ""
+    return code
+
+
+_FORM_DOC = json.loads((ROOT / "perfbench" / "inputs" / "form.json").read_text())
+_SEED_DOC = json.loads((ROOT / "perfbench" / "inputs" / "iterate_seed.json").read_text())
+_CLASSIFY = ["classify", "--input", "{path}", "--weight", "0"]
+_ITERATE = ["iterate", "--n", "3", "--q", "1", "--weight", "15/4", "--power", "3",
+            "--tau", "10", "--seed", "{path}"]
+
+
+@given(mutated_documents(_FORM_DOC))
+def test_fuzzed_classify_forms_never_fault(doc):
+    _exit_without_fault(_CLASSIFY, doc)
+
+
+@given(mutated_documents(_SEED_DOC))
+def test_fuzzed_profile_seeds_never_fault(doc):
+    _exit_without_fault(_ITERATE, doc)
+
+
+def test_unmutated_fuzz_bases_classify_and_iterate():
+    assert _exit_without_fault(_CLASSIFY, _FORM_DOC) == 0
+    assert _exit_without_fault(_ITERATE, _SEED_DOC) == 0
+
+
 def pair_file(tmp_path, ctx, parts, name="pair.json"):
     q = 1
     e = Form.zero(3, q)
@@ -871,3 +948,58 @@ def test_seed_cache_entry_with_a_negative_exponent_is_a_miss(tmp_path, capsys, m
     code, out, err = run(capsys, *argv)
     assert (code, out) == (0, want)
     assert "recomputing" in err
+
+
+_OVER = MAX_DIM + 2
+
+
+@pytest.mark.parametrize("command,doc", [
+    (["classify", "--input", "{path}", "--weight", "0"],
+     {"n": _OVER, "q": 0, "components": {"": [{"degree": 1, "r_exp": 0, "terms": [
+         {"alpha": [0, 1] + [0] * (_OVER - 2), "coef": "1"}]}]}}),
+    (["classify", "--input", "{path}", "--weight", "0"],
+     {"n": _OVER, "q": 0, "components": {}}),
+    (["verify", "{path}"], {"kind": "tower_family_set", "n": _OVER, "families": []}),
+    (["verify", "{path}"], dict(_FAMILY_DOC, n=_OVER, q=0, sigma=0, floors=0,
+                                d_floors=[[]], r_floors=[[]], omega_sq=0)),
+], ids=["one-term-form", "form-without-components", "family-set", "family"])
+def test_documents_stating_a_dimension_past_max_dim_are_refused(tmp_path, capsys,
+                                                               command, doc):
+    """A decoded n above MAX_DIM exits 2 before any layout is built; the
+    packed layout of n takes memory growing as n^2 (140 MB for a 6 KB form
+    document at n = 2001)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    before = _layout.cache_info()
+    code, out, err = run(capsys, *[a.format(path=path) for a in command])
+    assert (code, out) == (2, "")
+    assert f"largest dimension a document may state, {MAX_DIM}" in err
+    assert _layout.cache_info().misses == before.misses
+
+
+def test_a_form_at_max_dim_is_decoded():
+    n = MAX_DIM
+    form = Form.from_obj({"n": n, "q": 0, "components": {"": [
+        {"degree": 1, "r_exp": 0, "terms": [{"alpha": [0, 1] + [0] * (n - 2), "coef": "1"}]}]}})
+    assert (form.n, len(form.terms)) == (n, 1)
+
+
+def test_iterate_applies_the_operator_once_per_power(capsys, monkeypatch):
+    """The profile chain is built once: the range descriptor is read off it,
+    not rebuilt."""
+    from towercalc import cli, static_op
+    calls, step = [], static_op.apply_L_profile
+
+    def counted(profile, tau=None):
+        calls.append(profile.step)
+        return step(profile, tau)
+
+    monkeypatch.setattr(cli, "apply_L_profile", counted)
+    monkeypatch.setattr(static_op, "apply_L_profile", counted)
+    seed = str(ROOT / "perfbench" / "inputs" / "iterate_seed.json")
+    for power in (1, 3):
+        calls.clear()
+        code, out, _ = run(capsys, "iterate", "--n", "3", "--q", "1", "--weight", "15/4",
+                           "--power", str(power), "--tau", "10", "--seed", seed)
+        assert code == 0 and json.loads(out)["range"]["power"] == power
+        assert calls == list(range(power))

@@ -79,6 +79,22 @@ def test_cli_imports_only_the_standard_library():
     assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
+def test_cli_import_loads_every_module_and_no_code_generation():
+    """import towercalc.cli loads every towercalc module, which the tracer's
+    install relies on, and neither dataclasses nor inspect: together they
+    cost 9-18 ms of every CLI start."""
+    probe = ("import sys, towercalc.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('towercalc.'))); "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    package = sorted(f"towercalc.{p.stem}" for p in (ROOT / "src" / "towercalc").glob("*.py")
+                     if p.stem != "__init__")
+    assert proc.stdout.split("\n")[:2] == [repr(package), "[]"]
+
+
 def test_tracer_hooks_read_names_that_resolve(tmp_path, monkeypatch):
     """The tracer's hooks read harmonic._CACHE, harmonic._disk_cache_path,
     harmonic.os and TowerContext._families; a rename would break only

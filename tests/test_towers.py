@@ -15,6 +15,36 @@ from oracles import radial_one_form, tower_coefficient_closed
 R = RadialRingElement
 
 
+def test_records_keep_their_order_equality_hash_and_frozenness():
+    """The record classes are plain classes: TowerIndex is a tuple ordered
+    field by field; the others compare field by field within one class; the
+    descriptor and the seed space are frozen and hash as their fields; the
+    mutable records are unhashable."""
+    from towercalc.expansion import SideExpansion
+    from towercalc.harmonic import SeedSpace
+    from towercalc.towers import ExceptionalFormDescriptor
+    idx = [TowerIndex(1, 0, 2, 1), TowerIndex(-1, 3, 0, 2), TowerIndex(-1, 0, 5, 1)]
+    assert sorted(idx) == [idx[2], idx[1], idx[0]]
+    assert hash(idx[0]) == hash((1, 0, 2, 1))
+    assert repr(idx[0]) == "TowerIndex(sign=1, k=0, sigma=2, m=1)"
+    hat = exceptional_form("D_hat", 3, 0, 2)
+    twin = ExceptionalFormDescriptor(*[getattr(hat, f) for f in hat._fields])
+    assert twin == hat and hash(twin) == hash(hat) and {hat: 1}[twin] == 1
+    assert repr(hat).startswith("ExceptionalFormDescriptor(kind='D_hat', n=3, q=0, K=2,")
+    space = SeedSpace(3, 1, 0)
+    for record, field in ((idx[0], "k"), (hat, "q"), (space, "forms")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    fam = build_tower_pair(3, 1, 1, 0, 1)
+    assert fam == build_tower_pair(3, 1, 1, 0, 1) != build_tower_pair(3, 1, -1, 0, 1)
+    assert fam != (fam.n, fam.q, fam.sign, fam.sigma, fam.floors, fam.d_floors, fam.r_floors)
+    with pytest.raises(TypeError):
+        hash(fam)
+    a, b = SideExpansion(), SideExpansion()
+    a.coeffs[idx[0]] = qq(1)
+    assert b.coeffs == {} and a != b
+
+
 def test_index_basics():
     i = TowerIndex(-1, 2, 1, 4)
     assert homogeneity_degree(-1, 2, 1, 3) == -2
