@@ -166,6 +166,7 @@ def _parse_sign(word: str):
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
+    require_dim(args.n)         # verify refuses a document past MAX_DIM
     sigmas = [args.sigma] if args.sigma is not None else list(range(args.sigma_max + 1))
     families = []
     for sign in _parse_sign(args.sign):

@@ -19,13 +19,13 @@ the denominator and all the numerators, like a ring element (ring.py).  A key
 is a ring key with the component's dx-index set in the field above the
 degree field: bit n - i of that field is set when dx^i is *absent*, so for
 one rank, integer order of the fields is the order of the index tuples, and
-integer order of keys is the coordinate order of coordinate_vectors
-(component, degree, r exponent, monomial).  Each rank step then moves a term
-by the fixed offset of its derivative or x_i factor, plus or minus the bit
-of dx^i, with the sign (-1)^(entries of the index set below i); the records
-for each component field are built once per dimension (_targets).  The
-operators run one loop over the table and divide out the content once per
-result.
+integer order of keys is the coordinate order (component, degree, r
+exponent, monomial) that canonical bases are reduced in (harmonic.py).
+Each rank step then moves a term by the fixed offset of its derivative or
+x_i factor, plus or minus the bit of dx^i, with the sign (-1)^(entries of
+the index set below i); the records for each component field are built once
+per dimension (_targets).  The operators run one loop over the table and
+divide out the content once per result.
 
 No operator carries into the component field: the ring fields below it stay
 in [0, 2^32) (see the packing bound in ring.py), rot and R_op clear only a
@@ -193,13 +193,6 @@ class Form:
         """table / den for a fresh zero-free term table of valid keys; the
         content is divided out."""
         return cls._make(n, q, *_normalized(table, den))
-
-    @classmethod
-    def _from_coordinates(cls, n: int, q: int, coords: dict) -> "Form":
-        """The form {key: nonzero QQ}, over the lcm of the denominators."""
-        den = lcm(*(c.denominator for c in coords.values()))
-        return cls._from_table(
-            n, q, {key: c.numerator * (den // c.denominator) for key, c in coords.items()}, den)
 
     # -- constructors --------------------------------------------------------
 
@@ -547,14 +540,15 @@ def sphere_gram(forms: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# coordinates for exact linear algebra over spans of forms
+# dense coordinates of forms
 # ---------------------------------------------------------------------------
 
 def coordinate_vectors(forms: list) -> tuple[list, list]:
     """Return (keys, vectors): the sorted union of the forms' term keys and
     one exact coefficient vector per form.  Key order is the order of
     (component, degree, r_exp, monomial); canonical because forms are normal
-    forms."""
+    forms.  The library's solves eliminate the term tables themselves
+    (linalg.rref); the dense oracles of the tests read these vectors."""
     keys = sorted(set().union(*(f.terms for f in forms)))
     pos = {k: i for i, k in enumerate(keys)}
     vecs = []

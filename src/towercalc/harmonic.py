@@ -9,9 +9,10 @@ degree 1-n, ranks 1 and n-1, each one-dimensional (the inverse-power radial
 form and its Hodge dual).  Dimensions come from the closed form mu; only the
 polynomial seeds are found by a kernel solve.
 
-Bases are canonical: the reduced-row-echelon basis of the solution space in
-the fixed coordinate order of forms.coordinate_vectors, so any solver that
-finds the same space returns the identical basis.
+Bases are canonical: the reduced-row-echelon basis of the solution space,
+taking the integer order of the forms' term keys as the coordinate order
+(see forms.py), so any solver that finds the same space returns the
+identical basis.
 """
 
 from __future__ import annotations
@@ -21,57 +22,42 @@ import json
 import os
 import sys
 import threading
-from math import comb
+from math import comb, lcm
 
 from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
                      require_int, require_odd_dimension, require_schema)
-from .forms import Form, R_op, T_op, _field, coordinate_vectors
+from .forms import Form, R_op, T_op, _field
 from .linalg import rref
 from .records import FrozenRecord
 from .ring import QQ, RadialRingElement, _layout, reduced_monomials
 
-_Q1 = QQ(1)
-
 
 # ---------------------------------------------------------------------------
-# coordinate helpers
+# elimination over spans of forms
 # ---------------------------------------------------------------------------
 
 def echelon_normalize(forms: list) -> list:
-    """Canonical basis (RREF rows) of the span of the given forms."""
-    forms = [f for f in forms if not f.is_zero()]
+    """Canonical basis (RREF rows) of the span of the given forms: one rref
+    of their term tables, whose rows are the basis forms over their pivot
+    entries."""
     if not forms:
         return []
     n, q = forms[0].n, forms[0].q
-    keys, vecs = coordinate_vectors(forms)
-    red, _ = rref(vecs)
-    return [Form._from_coordinates(n, q, {key: c for key, c in zip(keys, row) if c})
-            for row in red]
-
-
-def _is_echelon(forms: list) -> bool:
-    """Whether nonzero forms are a reduced row-echelon basis in coordinate
-    order, checked in one scan: each form's first coordinate has
-    coefficient 1, the first coordinates increase strictly from form to
-    form, and each of them is absent from every other form."""
-    leads = [min(f.terms) for f in forms]
-    lead_set = set(leads)
-    return (all(f.terms[k] == f.den for f, k in zip(forms, leads))
-            and all(a < b for a, b in zip(leads, leads[1:]))
-            and all(len(lead_set.intersection(f.terms)) == 1 for f in forms))
+    red, pivots = rref([f.terms for f in forms])
+    return [Form._make(n, q, row, row[p]) for row, p in zip(red, pivots)]
 
 
 def kernel_of_operators(candidates: list, operators: list) -> list:
     """Canonical basis of {F in span(candidates) : op(F) = 0 for all ops}.
 
-    candidates are one-term forms with coefficient 1 in descending coordinate
-    order (the order of coordinate_vectors, reversed); operators are callables
-    Form -> Form.  Each free column j of the constraints' RREF gives the
+    candidates are one-term forms with coefficient 1 in descending key
+    order; operators are callables Form -> Form.  Each key of an operator's
+    images is one constraint row over the candidate indices, over the lcm of
+    its denominators.  Each free column j of the constraints' RREF gives the
     kernel vector {j: 1, p: -RREF[row of p][j] for each pivot column p}.
     Every row of an RREF is zero left of its pivot, so that vector is
-    otherwise nonzero only at pivot unknowns of larger coordinates: read in
-    reverse, the vectors are the reduced-row-echelon basis in coordinate
-    order.  Each is built as a form from its nonzero entries only.
+    otherwise nonzero only at pivot unknowns of larger keys: read in
+    reverse, the vectors are the reduced-row-echelon basis in key order.
     """
     if not candidates:
         return []
@@ -79,19 +65,30 @@ def kernel_of_operators(candidates: list, operators: list) -> list:
     keys = [key for c in candidates for key in c.terms]
     rows = []
     for op in operators:
-        _, vecs = coordinate_vectors([op(c) for c in candidates])
-        if vecs and vecs[0]:
-            rows.extend(list(row) for row in zip(*vecs))
+        images: dict = {}
+        for j, c in enumerate(candidates):
+            image = op(c)
+            for key, v in image.terms.items():
+                images.setdefault(key, []).append((j, v, image.den))
+        for entries in images.values():
+            den = lcm(*(d for _, _, d in entries))
+            rows.append({j: v * (den // d) for j, v, d in entries})
     red, pivots = rref(rows)
-    vectors = {j: {key: _Q1} for j, key in enumerate(keys)}
+    vectors = {j: [] for j in range(len(keys))}
     for p in pivots:
         del vectors[p]
     for row, p in zip(red, pivots):
         # off its pivot, an RREF row is nonzero only at free columns
-        for j in range(p + 1, len(row)):
-            if row[j]:
-                vectors[j][keys[p]] = -row[j]
-    return [Form._from_coordinates(n, q, vectors[j]) for j in reversed(vectors)]
+        for j, v in row.items():
+            if j != p:
+                vectors[j].append((keys[p], v, row[p]))
+    forms = []
+    for j in reversed(vectors):
+        den = lcm(*(d for _, _, d in vectors[j]))
+        table = {key: -v * (den // d) for key, v, d in vectors[j]}
+        table[keys[j]] = den
+        forms.append(Form._from_table(n, q, table, den))
+    return forms
 
 
 def _biclosed_operators(n: int, q: int) -> list:
@@ -149,7 +146,7 @@ def _load_cached(path: str, key: tuple, dim: int):
     """The seed space stored at path, or None when the file does not parse,
     states another schema, or does not hold the canonical basis of the
     (n, q, degree) space of its key: dim bi-closed forms of that shape, in
-    reduced row-echelon form (_is_echelon)."""
+    reduced row-echelon form (echelon_normalize leaves them as they are)."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -161,7 +158,7 @@ def _load_cached(path: str, key: tuple, dim: int):
               and all((f.n, f.q, f.homogeneous_degree()) == key for f in forms)
               and all(op(f).is_zero() for op in _biclosed_operators(*key[:2])
                       for f in forms)
-              and _is_echelon(forms))
+              and echelon_normalize(list(forms)) == list(forms))
     except (OSError, *DECODE_ERRORS):
         return None
     return space if ok else None

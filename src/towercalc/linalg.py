@@ -1,100 +1,102 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra: one fraction-free integer elimination.
 
-Matrices are lists of row lists with QQ entries.  Everything here is
-deterministic: pivots are always the first nonzero column left to right, so
-the reduced row echelon form (and hence every basis produced from it) is the
-canonical one for the row space.
+A row is a {column: int} dict.  rref reduces a row as a * row - b * (pivot
+row) and keeps each row with no common factor and a positive pivot, so no
+Fraction is built per cell.  Pivots are always the smallest nonzero column,
+so the RREF (row / row[pivot] for each row) and every basis read off it are
+the canonical ones for the row space.  Rational matrices (lists of QQ rows)
+are put over one denominator per row first.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .ring import QQ
 
-_Q0 = QQ(0)
-_Q1 = QQ(1)
+
+def _reduce(row: dict, prow: dict, p: int) -> dict:
+    """a * row - b * prow with a / b = prow[p] / row[p] in lowest terms, which
+    clears column p of row."""
+    g = gcd(row[p], prow[p])
+    a, b = prow[p] // g, row[p] // g
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in prow.items():
+        v = row.get(c, 0) - b * v
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+    return row
+
+
+def _primitive(row: dict, p: int) -> dict:
+    """row divided by its content, with row[p] > 0."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def rref(rows: list) -> tuple[list, list]:
-    """Reduced row echelon form. Returns (new rows, pivot column indices).
-
-    The input is not mutated.  Zero rows are dropped.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                sel = i
+    """(rows, pivots): the pivots ascending, and per pivot one row whose
+    RREF row is row / row[pivot].  The forward pass reduces each row by the
+    pivot row at its smallest column until that column is a new pivot; the
+    back pass clears, in descending pivot order, the other pivot columns
+    from each row.  The input is not mutated; zero rows are dropped."""
+    by_pivot: dict = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            p = min(row)
+            prow = by_pivot.get(p)
+            if prow is None:
+                by_pivot[p] = _primitive(row, p)
                 break
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        inv = _Q1 / m[rank][col]
-        if inv != 1:
-            row = m[rank]
-            for j in range(col, ncols):
-                if row[j]:
-                    row[j] = row[j] * inv
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                ri, rp = m[i], m[rank]
-                for j in range(col, ncols):
-                    if rp[j]:
-                        ri[j] = ri[j] - f * rp[j]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    return m[:rank], pivots
+            row = _reduce(row, prow, p)
+    pivots = sorted(by_pivot)
+    for i in range(len(pivots) - 1, -1, -1):
+        p = pivots[i]
+        row = by_pivot[p]
+        # a row is zero left of its pivot, and every later row is reduced
+        later = [c for c in pivots[i + 1:] if c in row]
+        for c in later:
+            row = _reduce(row, by_pivot[c], c)
+        if later:
+            by_pivot[p] = _primitive(row, p)
+    return [by_pivot[p] for p in pivots], pivots
 
 
-def solve(rows: list, rhs: list):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return None if any(rhs) else []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-    x = [_Q0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
+def _over_lcm(row: list) -> tuple[dict, int]:
+    """A rational row as ({column: int}, d): the row times d, the lcm of its
+    denominators."""
+    d = lcm(*(c.denominator for c in row))
+    return {j: c.numerator * (d // c.denominator) for j, c in enumerate(row) if c}, d
 
 
-def solve_posdef(gram: list, rhs: list):
-    """Solve G c = rhs for symmetric positive definite G (always consistent)."""
-    sol = solve(gram, rhs)
-    if sol is None:
-        raise ArithmeticError("inconsistent system with positive definite matrix")
-    return sol
+def matrix_rank(rows: list) -> int:
+    return len(rref([_over_lcm(row)[0] for row in rows])[1])
 
 
 def exact_inverse(rows: list) -> tuple:
-    """(M, d) with rows^-1 = M / d for a nonsingular square matrix: M an
-    integer matrix and d > 0 the lcm of the inverse's denominators.  One
-    rref of [rows | I]; a singular matrix is an ArithmeticError."""
+    """(M, d) with rows^-1 = M / d for a nonsingular square rational matrix:
+    M an integer matrix and d > 0 the lcm of the inverse's denominators.
+    One rref of [rows | I]; a singular matrix is an ArithmeticError."""
     k = len(rows)
-    red, pivots = rref([list(r) + [_Q1 if i == j else _Q0 for j in range(k)]
-                        for i, r in enumerate(rows)])
-    if pivots[:k] != list(range(k)):
+    aug = []
+    for i, row in enumerate(rows):
+        row, d = _over_lcm(row)
+        row[k + i] = d
+        aug.append(row)
+    red, pivots = rref(aug)
+    if pivots != list(range(k)):
         raise ArithmeticError("singular matrix has no inverse")
-    inv = [row[k:] for row in red]
-    d = lcm(*(c.denominator for row in inv for c in row))
-    return [[c.numerator * (d // c.denominator) for c in row] for row in inv], d
+    # row i of the RREF is [e_i | row i of the inverse] times red[i][i], and
+    # red[i] is primitive, so red[i][i] is that row's lcm of denominators
+    d = lcm(*(row[i] for i, row in enumerate(red)))
+    return [[row.get(k + j, 0) * (d // row[i]) for j in range(k)]
+            for i, row in enumerate(red)], d
 
 
 def inverse_times(inverse: tuple, rhs: list) -> list:
@@ -108,5 +110,6 @@ def inverse_times(inverse: tuple, rhs: list) -> list:
     return [QQ(sum(m * x for m, x in zip(row, ints)), den) for row in matrix]
 
 
-def matrix_rank(rows: list) -> int:
-    return len(rref(rows)[0])
+def solve_posdef(gram: list, rhs: list) -> list:
+    """The solution of G c = rhs for a nonsingular (positive definite) G."""
+    return inverse_times(exact_inverse(gram), rhs)

@@ -55,9 +55,10 @@ it has read (forms.py).
 All arithmetic is exact.  The operators add and multiply integer numerators
 and divide out the content once per result.  Rationals cross the boundary as
 fractions.Fraction (QQ): the constructor takes rational-valued raw tables and
-clears their denominators once; sphere_restriction, to_records and
-forms.coordinate_vectors hand out QQ.  The table operators are module
-functions on (terms, den), shared by RadialRingElement and forms.Form.
+clears their denominators once; sphere_restriction and to_records hand out
+QQ, and the exact solves eliminate the integer tables themselves
+(linalg.rref).  The table operators are module functions on (terms, den),
+shared by RadialRingElement and forms.Form.
 """
 
 from __future__ import annotations

@@ -6,7 +6,14 @@ route:
 
   hodge_div            codifferential through the Hodge star, (-1)^((q-1)n) * rot *
   laplacian_factored   rot div + div rot, with the grade guards
-  nullspace            dense free-variable kernel vectors read off an rref
+  dense_rref           reduced row echelon form of QQ row lists, one dense
+                       Fraction cell at a time, as the library eliminated
+                       before its rref ran on sparse integer rows
+  dense_solve          one exact solution of A x = b through dense_rref, or
+                       None if inconsistent (free variables zero)
+  form_from_coordinates  the form of a {key: QQ} coordinate dict, over the
+                       lcm of its denominators
+  nullspace            dense free-variable kernel vectors read off dense_rref
   kernel_by_echelon    kernel of operators over any candidates: nullspace, the
                        Form sum of each kernel vector, then echelon_normalize
   direct_seed_basis    escalating general ansatz r^(degree-e) * (reduced monomials),
@@ -31,7 +38,8 @@ route:
                        monomial, with no cache (poly_sphere_average)
   expand_side_full_gram  one side of an expansion through the full Gram of all
                        candidates at each degree, cross-block entries included,
-                       paired by sphere_inner_product_direct
+                       paired by sphere_inner_product_direct and solved by
+                       dense_solve
   expand_side_by_solves  one side of an expansion block by block, as the
                        library solved it before it cached each block's
                        inverse: a solve_posdef of every block Gram per call,
@@ -68,7 +76,7 @@ from towercalc.errors import (ConsistencyError, InvalidRankError, require_int,
 from towercalc.expansion import SideExpansion, tower_candidates
 from towercalc.forms import Form, coordinate_vectors, monomial_average
 from towercalc.harmonic import echelon_normalize
-from towercalc.linalg import matrix_rank, rref, solve_posdef
+from towercalc.linalg import solve_posdef
 from towercalc.ring import (_DIGIT, QQ, R_OFFSET, RadialRingElement, _layout, reduced_monomials,
                             require_rational)
 from towercalc.towers import (ExceptionalFormDescriptor, TowerContext, checked_gram,
@@ -103,6 +111,71 @@ def _hodge_biclosed_operators(n: int, q: int) -> list:
     return ops
 
 
+def dense_rref(rows: list) -> tuple[list, list]:
+    """Reduced row echelon form. Returns (new rows, pivot column indices).
+
+    The input is not mutated.  Zero rows are dropped.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rank, len(m)):
+            if m[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        inv = _Q1 / m[rank][col]
+        if inv != 1:
+            row = m[rank]
+            for j in range(col, ncols):
+                if row[j]:
+                    row[j] = row[j] * inv
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                ri, rp = m[i], m[rank]
+                for j in range(col, ncols):
+                    if rp[j]:
+                        ri[j] = ri[j] - f * rp[j]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    return m[:rank], pivots
+
+
+def dense_solve(rows: list, rhs: list):
+    """One exact solution of A x = b, or None if inconsistent.
+
+    Free variables are set to zero.
+    """
+    if not rows:
+        return None if any(rhs) else []
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = dense_rref(aug)
+    if ncols in pivots:
+        return None
+    x = [_Q0] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols]
+    return x
+
+
+def form_from_coordinates(n: int, q: int, coords: dict) -> Form:
+    """The form {key: nonzero QQ}, over the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coords.values()))
+    return Form._from_table(
+        n, q, {key: c.numerator * (den // c.denominator) for key, c in coords.items()}, den)
+
+
 def nullspace(rows: list, ncols: int | None = None) -> list:
     """Basis of {v : A v = 0} as a list of QQ vectors.
 
@@ -110,7 +183,7 @@ def nullspace(rows: list, ncols: int | None = None) -> list:
     column, with a 1 in that column.
     """
     ncols = len(rows[0]) if rows else ncols or 0
-    red, pivots = rref(rows)
+    red, pivots = dense_rref(rows)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
@@ -338,12 +411,12 @@ def expand_side_full_gram(form: Form, rank: int, line: str, k_max: int,
             side.residual = side.residual + piece
             continue
         gram = [[sphere_inner_product_direct(a, b) for b in basis] for a in basis]
-        if matrix_rank(gram) != len(basis):
+        if len(dense_rref(gram)[1]) != len(basis):
             raise ConsistencyError(
                 f"dependent expansion candidates at rank {rank} {line}-line "
                 f"degree {degree}")
         rhs = [sphere_inner_product_direct(piece, b) for b in basis]
-        sol = solve_posdef(gram, rhs)
+        sol = dense_solve(gram, rhs)
         rem = piece
         for c, b in zip(sol, basis):
             if c:

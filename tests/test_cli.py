@@ -977,6 +977,17 @@ def test_documents_stating_a_dimension_past_max_dim_are_refused(tmp_path, capsys
     assert _layout.cache_info().misses == before.misses
 
 
+def test_build_past_max_dim_is_refused_before_any_work(capsys):
+    """build writes only documents that verify reads: an --n above MAX_DIM
+    exits 2 before any layout is built."""
+    before = _layout.cache_info()
+    code, out, err = run(capsys, "build", "--n", str(_OVER), "--q", "0", "--sign", "plus",
+                         "--sigma", "0", "--floors", "1")
+    assert (code, out) == (2, "")
+    assert f"largest dimension a document may state, {MAX_DIM}" in err
+    assert _layout.cache_info().misses == before.misses
+
+
 def test_a_form_at_max_dim_is_decoded():
     n = MAX_DIM
     form = Form.from_obj({"n": n, "q": 0, "components": {"": [

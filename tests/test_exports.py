@@ -97,14 +97,22 @@ def test_cli_import_loads_every_module_and_no_code_generation():
 
 def test_tracer_hooks_read_names_that_resolve(tmp_path, monkeypatch):
     """The tracer's hooks read harmonic._CACHE, harmonic._disk_cache_path,
-    harmonic.os and TowerContext._families; a rename would break only
-    --trace 1.  Run the seed hook on each provenance and the context hook on
-    a miss and a hit."""
+    harmonic.os and TowerContext._families, and take len() of the rows that
+    linalg.rref gets; a rename or a change of row format would break only
+    --trace 1.  Run the seed hook on each provenance, the context hook on a
+    miss and a hit, and the rref hook on the rows echelon_normalize passes."""
     from towercalc import harmonic
     from towercalc.towers import TowerContext
     tracer = _load_tracer().Tracer()
     pre, _, counted = tracer._hooks()
     seed_pre, (ctx_pre, _) = pre["harmonic.seed"], counted["towers.ctx"]
+    forms = list(harmonic.seed_basis(3, 1, 1).forms)
+    passed, rref = [], harmonic.rref
+    monkeypatch.setattr(harmonic, "rref", lambda rows: passed.append(rows) or rref(rows))
+    assert harmonic.echelon_normalize(forms[::-1]) == forms
+    pre["linalg.rref"]((passed[0],), {})
+    assert tracer.counts == {"linalg.rref.cells": len(forms) * len(forms[-1].terms)}
+    tracer.counts.clear()
     monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
     monkeypatch.setattr(harmonic, "_CACHE", {})
     seed_pre((3, 1, 1), {})                    # computed

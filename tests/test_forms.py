@@ -19,8 +19,8 @@ from oracles import (component_add, component_div, component_hodge_star,
                      component_t_op, fraction_add, fraction_div, fraction_form_parts,
                      fraction_laplacian, fraction_mul_r_power, fraction_r_op,
                      fraction_rot, fraction_scale, fraction_sphere_inner_product,
-                     fraction_t_op, form_from_obj_by_components, hodge_div,
-                     laplacian_by_diff, laplacian_factored, poly_sphere_average,
+                     fraction_t_op, form_from_coordinates, form_from_obj_by_components,
+                     hodge_div, laplacian_by_diff, laplacian_factored, poly_sphere_average,
                      r_op_by_wedge, radial_one_form, records_by_canonicalize,
                      sphere_inner_product_direct,
                      t_op_by_product, wedge)
@@ -194,7 +194,7 @@ def test_flat_operators_match_the_component_route(pair, c, s):
     # integer key order is the order of (component, ring key)
     assert [(_comp_of(k, n), k & layout.ring_mask) for k in keys] == sorted(
         {(idx, key) for h in (f, g) for idx, el in h.components.items() for key in el.terms})
-    assert Form._from_coordinates(n, q, {k: v for k, v in zip(keys, vf) if v}) == f
+    assert form_from_coordinates(n, q, {k: v for k, v in zip(keys, vf) if v}) == f
     assert f.to_obj() == {"n": n, "q": q, "components": {
         ",".join(map(str, idx)): el.to_records() for idx, el in sorted(f.components.items())}}
     assert Form.from_obj(f.to_obj()) == f

@@ -14,7 +14,7 @@ from towercalc.forms import Form, coordinate_vectors, sphere_inner_product
 from towercalc.harmonic import (SeedSpace, clear_cache, echelon_normalize,
                                 harmonic_dimension, mu, seed_basis)
 from towercalc.linalg import matrix_rank
-from towercalc.ring import QQ, RadialRingElement, reduced_monomials
+from towercalc.ring import RadialRingElement, reduced_monomials
 
 from oracles import direct_seed_basis, kernel_by_echelon, radial_one_form
 
@@ -256,24 +256,6 @@ def test_seed_cache_entry_not_in_echelon_form_is_a_miss(tmp_path, monkeypatch, c
     assert seed_basis(3, 1, 2).forms == space.forms
     assert "unreadable" in capsys.readouterr().err
     assert json.loads(path.read_text()) == space.to_obj()
-
-
-@given(data=st.data())
-def test_echelon_shape_check_agrees_with_echelon_normalize(data):
-    """_is_echelon holds exactly on the lists that echelon_normalize leaves
-    as they are: drawn from seed bases, their sums and their scalings."""
-    n = data.draw(st.sampled_from([3, 5]))
-    basis = list(seed_basis(n, 1, 1).forms)
-    picks = data.draw(st.lists(st.sampled_from(range(len(basis))), min_size=1, max_size=4))
-    forms = [basis[i] for i in picks]
-    if data.draw(st.booleans()):
-        i, j = data.draw(st.tuples(*[st.integers(0, len(forms) - 1)] * 2))
-        forms[i] = forms[i] + forms[j].scale(data.draw(st.sampled_from([1, -2, QQ(1, 3)])))
-    if data.draw(st.booleans()):
-        forms[0] = forms[0].scale(data.draw(st.sampled_from([2, QQ(-1, 2)])))
-    forms = [f for f in forms if not f.is_zero()]
-    if forms:
-        assert harmonic._is_echelon(forms) == (echelon_normalize(forms) == forms)
 
 
 def test_only_polynomial_spaces_are_cached_on_disk(tmp_path, monkeypatch):

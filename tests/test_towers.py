@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,6 +172,29 @@ def test_families_verify_exactly(q, sign, sigma):
     assert report["passed"], [c for c in report["checks"] if not c["passed"]]
     harm = verify_low_floor_harmonicity(fam)
     assert harm["passed"], harm
+
+
+N7_GRID_BUDGET_SECONDS = 60
+
+
+def test_n7_grid_at_sigma_up_to_1_verifies_exactly():
+    """The n = 7 grid at sigma <= 1: all 7 family ranks, both signs, 4
+    floors, 28 families.  Each is built, verified exactly (as in the
+    acceptance sweep: no rebuild, no Gram independence) and checked for
+    low-floor harmonicity.  Budget: 60 s; the grid takes about 2-3 s with
+    cold seed spaces on a 2-vCPU host (py3.11, fractions)."""
+    t0 = time.perf_counter()
+    failures = []
+    for q in range(7):
+        for sign in (1, -1):
+            for sigma in (0, 1):
+                fam = build_tower_pair(7, q, sign, sigma, 4)
+                for report in (verify_family(fam, rebuild=False, independence=False),
+                               verify_low_floor_harmonicity(fam)):
+                    failures += [(q, sign, sigma, c["name"])
+                                 for c in report["checks"] if not c["passed"]]
+    assert failures == []
+    assert time.perf_counter() - t0 < N7_GRID_BUDGET_SECONDS
 
 
 def test_family_floor_counts_follow_parity():
