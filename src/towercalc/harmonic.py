@@ -13,19 +13,21 @@ Bases are canonical: the reduced-row-echelon basis of the solution space,
 taking the integer order of the forms' term keys as the coordinate order
 (see forms.py), so any solver that finds the same space returns the
 identical basis.
+
+Every space is computed in process on its first request and memoised for
+the life of the process (clear_cache drops them); none is read from or
+written to disk, since the sparse solve costs less than loading a stored
+basis and checking it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import os
-import sys
 import threading
 from math import comb, lcm
 
-from .errors import (DECODE_ERRORS, SCHEMA, ConsistencyError, InvalidRankError,
-                     require_int, require_odd_dimension, require_schema)
+from .errors import (SCHEMA, ConsistencyError, InvalidRankError, require_int,
+                     require_odd_dimension)
 from .forms import Form, R_op, T_op, _field
 from .linalg import rref
 from .records import FrozenRecord
@@ -133,35 +135,10 @@ _CACHE_LOCK = threading.Lock()
 
 
 def _disk_cache_path(n: int, q: int, degree: int):
-    """Where the space is cached on disk, if anywhere.  Only the polynomial
-    spaces, which take a kernel solve, are: the others are cheaper to build
-    from them than to load and check."""
-    root = os.environ.get("TOWERCALC_CACHE")
-    if not root or degree < 0:
-        return None
-    return os.path.join(root, f"seeds_n{n}_q{q}_h{degree}.json")
-
-
-def _load_cached(path: str, key: tuple, dim: int):
-    """The seed space stored at path, or None when the file does not parse,
-    states another schema, or does not hold the canonical basis of the
-    (n, q, degree) space of its key: dim bi-closed forms of that shape, in
-    reduced row-echelon form (echelon_normalize leaves them as they are)."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        require_schema(obj)
-        space = SeedSpace.from_obj(obj)
-        forms = space.forms
-        ok = (obj["kind"] == "seed_space" and (space.n, space.q, space.degree) == key
-              and len(forms) == dim
-              and all((f.n, f.q, f.homogeneous_degree()) == key for f in forms)
-              and all(op(f).is_zero() for op in _biclosed_operators(*key[:2])
-                      for f in forms)
-              and echelon_normalize(list(forms)) == list(forms))
-    except (OSError, *DECODE_ERRORS):
-        return None
-    return space if ok else None
+    """Always None: seed spaces are only memoised in process.  The benchmark's
+    tracer still calls this to tell disk hits from solves; the stub goes when
+    the tracer stops calling it (ROADMAP direction 1)."""
+    return None
 
 
 def clear_cache() -> None:
@@ -227,16 +204,6 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
         if key in _CACHE:
             return _CACHE[key]
     dim = _dimension(n, q, degree)
-    path = _disk_cache_path(n, q, degree)
-    if path and os.path.exists(path):
-        space = _load_cached(path, key, dim)
-        if space is not None:
-            with _CACHE_LOCK:
-                _CACHE[key] = space
-            return space
-        print(f"note: seed cache entry {path} is unreadable or not the "
-              f"n={n} q={q} degree={degree} space; recomputing it", file=sys.stderr)
-
     if degree >= 0:
         forms = _solve_polynomial(n, q, degree)
     elif not dim:
@@ -254,12 +221,6 @@ def seed_basis(n: int, q: int, degree: int) -> SeedSpace:
 
     with _CACHE_LOCK:
         _CACHE[key] = space
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(space.to_obj(), fh)
-        os.replace(tmp, path)
     return space
 
 

@@ -258,9 +258,11 @@ class _Layout:
 
     def var_target(self, j: int, delta: int = 0, neg: bool = False) -> tuple:
         """The _var_terms record of x_(j+1) times a term, likewise:
-        (j, offset, the x_1^2 rewrite's offsets, neg)."""
+        (j, offset, the x_1^2 rewrite's offsets, neg).  Only x_1 rewrites,
+        so the other records hold no rewrite offsets."""
         off = self.steps[j] + delta
-        return (j, off, off + self.x1_sq[0], tuple(off + x for x in self.x1_sq[1:]), neg)
+        sq = tuple(off + x for x in self.x1_sq[1:]) if not j else ()
+        return (j, off, off + self.x1_sq[0], sq, neg)
 
 
 @cache

@@ -810,28 +810,22 @@ def test_usage_exit_code_for_unknown_command(capsys):
     capsys.readouterr()
 
 
-def test_bad_seed_cache_entries_are_recomputed(tmp_path, capsys, monkeypatch):
+def test_seed_cache_files_are_neither_read_nor_written(tmp_path, capsys, monkeypatch):
+    """Seed spaces are only memoised in process: a corrupt file where the
+    former TOWERCALC_CACHE directory kept the n=3 q=1 degree-1 space changes
+    nothing build writes, draws no note, and is left as it was."""
     from towercalc import harmonic
     argv = ("build", "--n", "3", "--q", "1", "--sigma-max", "1")
-    monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
     monkeypatch.setattr(harmonic, "_CACHE", {})
     code, want, _ = run(capsys, *argv)
     assert code == 0
+    entry = tmp_path / "seeds_n3_q1_h1.json"
+    entry.write_text('{"schema": "towercalc/1", "kind": "seed_space", "n": 3, "q"')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
     monkeypatch.setattr(harmonic, "_CACHE", {})
-    assert run(capsys, *argv)[:2] == (0, want)
-    # a truncated entry, and a well-formed one whose stored degree is not
-    # the degree in its file name
-    entry = tmp_path / "seeds_n3_q1_h1.json"
-    (tmp_path / "seeds_n3_q1_h0.json").write_bytes(entry.read_bytes())
-    entry.write_bytes(entry.read_bytes()[:100])
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (0, want)
-    assert err.count("recomputing") == 2
-    # the recomputed entries were written back and load silently
-    monkeypatch.setattr(harmonic, "_CACHE", {})
     assert run(capsys, *argv) == (0, want, "")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def _scale_first_form(forms):
@@ -855,37 +849,21 @@ def _nudge_first_form(forms):
                                     _nudge_first_form],
                          ids=["not-echelon", "wrong-dimension", "not-biclosed"])
 def test_tampered_seed_cache_entry_is_recomputed(tmp_path, capsys, monkeypatch, tamper):
-    """A cache entry that is not the canonical basis of its space is a miss:
-    it changes neither what build writes, nor what dims counts, nor the
-    rebuild that verify compares a family built from it against."""
+    """A family built while the in-memory seed cache held a basis that is not
+    the canonical basis of its space fails verify's canonical rebuild, which
+    recomputes the space."""
     from towercalc import harmonic
     from towercalc.harmonic import SeedSpace
-    build = ("build", "--n", "3", "--q", "1", "--sign", "plus", "--sigma", "2",
-             "--floors", "2")
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
     monkeypatch.setattr(harmonic, "_CACHE", {})
-    code, want, _ = run(capsys, *build)
-    assert code == 0
-    dims = run(capsys, "dims", "--n", "3")
-    entry = tmp_path / "seeds_n3_q1_h2.json"
-    doc = json.loads(entry.read_text())
+    doc = harmonic.seed_basis(3, 1, 2).to_obj()
     tamper(doc["forms"])
-    # the family a build that trusted the entry would write
     monkeypatch.setattr(harmonic, "_CACHE", {(3, 1, 2): SeedSpace.from_obj(doc)})
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps(build_tower_pair(3, 1, 1, 2, 2).to_obj()))
-    entry.write_text(json.dumps(doc))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    code, out, err = run(capsys, *build)
-    assert (code, out) == (0, want)
-    assert "recomputing" in err
-    entry.write_text(json.dumps(doc))
     monkeypatch.setattr(harmonic, "_CACHE", {})
     code, out, _ = run(capsys, "verify", "--harmonicity", str(fam))
     assert code == 1
     assert "FAIL family(n=3,q=1,sign=+,sigma=2) canonical-rebuild" in out
-    entry.write_text(json.dumps(doc))
-    assert run(capsys, "dims", "--n", "3") == dims
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
@@ -926,28 +904,6 @@ def test_classify_admits_monomials_at_the_packing_bound(tmp_path, capsys, alpha,
     code, out, err = run(capsys, "classify", "--input", str(path), "--weight", "0")
     assert code == 0
     assert json.loads(out)["kind"] == "classification"
-
-
-def test_seed_cache_entry_with_a_negative_exponent_is_a_miss(tmp_path, capsys, monkeypatch):
-    from towercalc import harmonic
-    argv = ("build", "--n", "3", "--q", "1", "--sigma", "1", "--floors", "2")
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    code, want, _ = run(capsys, *argv)
-    assert code == 0
-    entry = tmp_path / "seeds_n3_q1_h1.json"
-    doc = json.loads(entry.read_text())
-    # move the last exponent of the first term onto x_2, one past it: the
-    # degree stays, x_3's exponent becomes -1
-    term = next(iter(doc["forms"][0]["components"].values()))[0]["terms"][0]
-    alpha = term["alpha"]
-    alpha[1] += alpha[2] + 1
-    alpha[2] = -1
-    entry.write_text(json.dumps(doc))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (0, want)
-    assert "recomputing" in err
 
 
 _OVER = MAX_DIM + 2

@@ -95,12 +95,12 @@ def test_cli_import_loads_every_module_and_no_code_generation():
     assert proc.stdout.split("\n")[:2] == [repr(package), "[]"]
 
 
-def test_tracer_hooks_read_names_that_resolve(tmp_path, monkeypatch):
-    """The tracer's hooks read harmonic._CACHE, harmonic._disk_cache_path,
-    harmonic.os and TowerContext._families, and take len() of the rows that
-    linalg.rref gets; a rename or a change of row format would break only
-    --trace 1.  Run the seed hook on each provenance, the context hook on a
-    miss and a hit, and the rref hook on the rows echelon_normalize passes."""
+def test_tracer_hooks_read_names_that_resolve(monkeypatch):
+    """The tracer's hooks read harmonic._CACHE, harmonic._disk_cache_path and
+    TowerContext._families, and take len() of the rows that linalg.rref gets;
+    a rename or a change of row format would break only --trace 1.  Run the
+    seed hook on cold and memoised keys, the context hook on a miss and a
+    hit, and the rref hook on the rows echelon_normalize passes."""
     from towercalc import harmonic
     from towercalc.towers import TowerContext
     tracer = _load_tracer().Tracer()
@@ -113,14 +113,13 @@ def test_tracer_hooks_read_names_that_resolve(tmp_path, monkeypatch):
     pre["linalg.rref"]((passed[0],), {})
     assert tracer.counts == {"linalg.rref.cells": len(forms) * len(forms[-1].terms)}
     tracer.counts.clear()
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
     monkeypatch.setattr(harmonic, "_CACHE", {})
     seed_pre((3, 1, 1), {})                    # computed
     harmonic.seed_basis(3, 1, 1)
     seed_pre((3, 1, 1), {})                    # in memory
     monkeypatch.setattr(harmonic, "_CACHE", {})
-    seed_pre((3, 1, 1), {})                    # on disk
-    assert tracer.counts == {"harmonic.seed.computed": 1, "harmonic.seed.disk_hits": 1}
+    seed_pre((3, 1, 1), {})                    # computed again
+    assert tracer.counts == {"harmonic.seed.computed": 2}
     ctx = TowerContext(3)
     assert ctx_pre((ctx, 1, 1, 0, 2)) is False
     ctx.family(1, 1, 0, 2)

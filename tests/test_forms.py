@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from towercalc import forms
 from towercalc.forms import (_ZERO_AVERAGE, Form, GradeError, R_op, T_op,
                              coordinate_vectors, monomial_average, sphere_inner_product)
 from towercalc.errors import DECODE_ERRORS
@@ -207,6 +208,18 @@ def _comp_of(key, n):
     """The index tuple of a form key's component field."""
     field = key >> _layout(n).sc
     return tuple(i for i in range(1, n + 1) if not field >> (n - i) & 1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("raising", [True, False])
+def test_only_x1_records_hold_the_x1_square_rewrite(n, raising):
+    """R_op and T_op rewrite x_1^2 only after multiplying by x_1, so the
+    record of every other x_j holds no rewrite offsets (at large n those
+    (n-1)-tuples of 32n-bit offsets were most of a build's memory)."""
+    targets = forms._targets(n, raising, True)
+    for field in range(1 << n):
+        for j, _, _, sq, _ in targets[field]:
+            assert len(sq) == (n - 1 if j == 0 else 0), (field, j)
 
 
 def test_component_keys_validated():

@@ -2,9 +2,9 @@
 
 perfbench/workloads.py lists the commands of the `cli` workload and
 perfbench/golden.json the exit code and sha256 of each one's stdout and
---out file.  This runs them in process, in order, on an empty seed cache, so
-that a changed output byte of build, verify, expand, classify, indices,
-weights, iterate or dims fails here and not first as failed benchmark items.
+--out file.  This runs them in process, in order, so that a changed output
+byte of build, verify, expand, classify, indices, weights, iterate or dims
+fails here and not first as failed benchmark items.
 Both files are only read.
 """
 
@@ -27,9 +27,8 @@ def _workload_commands() -> list:
     return module.CLI_FIXED + module.CLI_TAIL
 
 
-def test_fixed_cli_commands_match_the_benchmark_answers(tmp_path, capsys, monkeypatch):
+def test_fixed_cli_commands_match_the_benchmark_answers(tmp_path, capsys):
     golden = json.loads((PERFBENCH / "golden.json").read_text())["cli"]
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path / "cache"))
     commands = _workload_commands()
     assert sorted(name for name, _ in commands) == sorted(golden)
     for name, argv in commands:

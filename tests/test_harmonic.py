@@ -72,7 +72,6 @@ def test_mu_rejects_what_seed_basis_rejects():
 
 
 def test_basis_of_the_wrong_dimension_is_a_consistency_error(monkeypatch):
-    monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
     monkeypatch.setattr(harmonic, "_CACHE", {})
     monkeypatch.setattr(harmonic, "_solve_polynomial", lambda n, q, degree: [])
     with pytest.raises(ConsistencyError, match="found dim 0, expected 5"):
@@ -196,75 +195,13 @@ def test_seed_space_serialization_round_trip():
     assert again.degree == space.degree
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
-    clear_cache()
+def test_seed_spaces_are_memoised_until_clear_cache(monkeypatch):
+    monkeypatch.setattr(harmonic, "_CACHE", {})
     space = seed_basis(3, 1, 2)
-    files = list(tmp_path.iterdir())
-    assert files, "expected a cache file to be written"
-    payload = json.loads(files[0].read_text())
-    assert payload.get("schema") == "towercalc/1"
-    clear_cache()        # drop memory; force the disk path
+    assert seed_basis(3, 1, 2) is space
+    clear_cache()
     again = seed_basis(3, 1, 2)
-    assert again.forms == space.forms
-    monkeypatch.delenv("TOWERCALC_CACHE")
-    clear_cache()
-
-
-@pytest.mark.parametrize("schema", [7, "nonsense", None, "missing"])
-def test_seed_cache_entry_of_another_schema_is_a_miss(tmp_path, monkeypatch, capsys, schema):
-    """An entry stating another schema is recomputed and rewritten; one that
-    leaves the field out is read."""
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    space = seed_basis(3, 1, 2)
-    path = tmp_path / "seeds_n3_q1_h2.json"
-    payload = json.loads(path.read_text())
-    if schema == "missing":
-        del payload["schema"]
-    else:
-        payload["schema"] = schema
-    path.write_text(json.dumps(payload))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    capsys.readouterr()
-    assert seed_basis(3, 1, 2).forms == space.forms
-    note = capsys.readouterr().err
-    if schema == "missing":
-        assert note == ""
-        assert "schema" not in json.loads(path.read_text())
-    else:
-        assert "unreadable" in note
-        assert json.loads(path.read_text())["schema"] == "towercalc/1"
-
-
-@pytest.mark.parametrize("edit", ["row-1-plus-row-2", "rows-swapped"])
-def test_seed_cache_entry_not_in_echelon_form_is_a_miss(tmp_path, monkeypatch, capsys, edit):
-    """An entry holding a basis of the right space that is not the reduced
-    row-echelon basis is recomputed and rewritten."""
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    space = seed_basis(3, 1, 2)
-    path = tmp_path / "seeds_n3_q1_h2.json"
-    forms = list(space.forms)
-    if edit == "row-1-plus-row-2":
-        forms[0] = forms[0] + forms[1]
-    else:
-        forms[0], forms[1] = forms[1], forms[0]
-    path.write_text(json.dumps(SeedSpace(3, 1, 2, tuple(forms)).to_obj()))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    capsys.readouterr()
-    assert seed_basis(3, 1, 2).forms == space.forms
-    assert "unreadable" in capsys.readouterr().err
-    assert json.loads(path.read_text()) == space.to_obj()
-
-
-def test_only_polynomial_spaces_are_cached_on_disk(tmp_path, monkeypatch):
-    # counts solve nothing; decaying and ghost spaces are built, not stored
-    monkeypatch.setenv("TOWERCALC_CACHE", str(tmp_path))
-    monkeypatch.setattr(harmonic, "_CACHE", {})
-    assert mu(9, 4, 6) == 160524
-    assert seed_basis(3, 1, -4).dim == 5 and seed_basis(3, 1, -2).dim == 1
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["seeds_n3_q1_h1.json"]
+    assert again is not space and again.forms == space.forms
 
 
 SEED_SPACE_DIGESTS = Path(__file__).with_name("seed_space_digests.json")
@@ -278,7 +215,6 @@ def test_seed_space_bytes_are_pinned(monkeypatch):
     the monomial-candidate kernel: the coordinate order of
     forms.coordinate_vectors fixes each canonical basis, so these bytes guard
     it."""
-    monkeypatch.delenv("TOWERCALC_CACHE", raising=False)
     monkeypatch.setattr(harmonic, "_CACHE", {})
     got = {}
     for n, sigma_max, decaying in ((3, 5, True), (5, 3, True), (7, 2, False)):
