@@ -17,10 +17,14 @@ TowerContext computes each block's members, its Gram and the Gram's exact
 inverse, an integer matrix over one denominator, once
 (TowerContext.block, block_gram, block_inverse); a call computes only the
 right-hand sides <piece, member>, and each block's coefficients are the
-inverse times them, with no elimination.  Products are memoised per form
-(forms.sphere_inner_product): a cached member keeps its pairing with every
-monomial it has met, as an integer, so a right-hand side costs one lookup
-and one integer multiply-add per term of the piece.  The exceptional slot is
+inverse times them, with no elimination.  The right-hand sides come from
+the context's pairing index of each (rank, line, degree, k_max)
+(TowerContext.pairing): the degree's candidates, their block spans and a
+forms.SpherePairing that maps each (component field, monomial) to its
+nonzero averages against the candidates.  One walk of the piece's sphere
+restriction, one lookup per term, adds integer numerators to every
+candidate at once, and only the blocks whose right-hand side is not 0 are
+multiplied by their inverse.  The exceptional slot is
 not one of the candidates: the context checks once that its products with
 them are exactly 0 and keeps its 1x1 Gram (TowerContext.hat_gram), and each
 call solves it as a block of its own.  tests/oracles.py keeps the full-Gram
@@ -30,7 +34,7 @@ products.
 
 from __future__ import annotations
 
-from itertools import groupby
+from math import lcm
 
 from .errors import SCHEMA, require_int
 from .forms import Form, sphere_inner_product
@@ -146,14 +150,16 @@ def _expand_side(form: Form, rank: int, line: str, k_max: int,
     for degree in sorted(degrees):
         piece = pieces.get(degree, Form.zero(n, form.q))
         rem = piece
-        for key, members in groupby(tower_candidates(ctx, rank, line, degree, k_max),
-                                    key=lambda c: (c[0].sign, c[0].k, c[0].sigma)):
-            members = list(members)
-            rhs = [sphere_inner_product(piece, f) for _, f in members]
-            if not any(rhs):
+        cands, spans, index = ctx.pairing(rank, line, degree, k_max)
+        nums, ds = index.numerators(piece)
+        for block, start, stop in spans:
+            if not any(nums[start:stop]):
                 continue
-            coeffs = inverse_times(ctx.block_inverse(rank, line, *key), rhs)
-            for (idx, f), c in zip(members, coeffs):
+            den = lcm(*(ds[j] for j in range(start, stop) if nums[j]))
+            rhs = [nums[j] * (den // ds[j]) for j in range(start, stop)]
+            coeffs = inverse_times(ctx.block_inverse(rank, line, *block), rhs,
+                                   den * piece.den)
+            for (idx, f), c in zip(cands[start:stop], coeffs):
                 if c:
                     rem = rem - f.scale(c)
                     side.coeffs[idx] = c

@@ -149,9 +149,11 @@ class Form:
     each read.
 
     terms must not be mutated after construction.  A form caches its
-    sphere restrictions and pairings in _sphere (see _sphere_entries), which
-    is None until the form is first paired; ==, to_obj and every operator
-    ignore it, and each new Form starts without one.
+    sphere restrictions and its averages against the monomials of the forms
+    it was paired with in _sphere (see _sphere_entries), which is None
+    until the form is first paired; ==, to_obj and every operator ignore
+    it, and each new Form starts without one.  A SpherePairing that lists
+    the form reads its restrictions but keeps its own averages.
     """
 
     __slots__ = ("n", "q", "terms", "den", "_sphere")
@@ -527,6 +529,67 @@ def sphere_inner_product(a: Form, b: Form) -> QQ:
                 else:
                     num += ca * an * (d // ad)
     return QQ(num, d * a.den * b.den) if num else _Q0
+
+
+class SpherePairing:
+    """The sphere pairing of any form against a fixed list of forms,
+    transposed: one lookup per term of the form gives its products with
+    every listed form at once.
+
+    averages maps {component field: {packed alpha: [(position, num, d),
+    ...]}}, with avg_S(x^alpha * restriction of forms[position]) = num / d,
+    the form's den included in d, and keeps only the averages that are not
+    0.  It is filled on first use by _average_against, from each listed
+    form's restriction (Form._sphere_entries) but not into its memo."""
+
+    __slots__ = ("forms", "averages")
+
+    def __init__(self, forms):
+        self.forms = tuple(forms)
+        self.averages: dict = {}
+
+    def _fill(self, field: int, alpha: int, n: int) -> list:
+        """The nonzero entries of one (field, alpha)."""
+        odd = _layout(n).odd
+        out = []
+        for j, f in enumerate(self.forms):
+            entry = f._sphere_entries().get(field)
+            if entry is not None:
+                num, d = _average_against(alpha, entry[0], n, odd)
+                if num:
+                    out.append((j, num, d * f.den))
+        return out
+
+    def numerators(self, piece: Form) -> tuple[list, list]:
+        """(nums, ds) with sphere_inner_product(piece, forms[j]) =
+        nums[j] / (ds[j] piece.den): each term of piece's restriction adds
+        its integer products to the positions its entry lists, over the
+        largest denominator met, as in sphere_inner_product: the ds of one
+        position are average denominators times the same den, so each
+        smaller one divides each larger one."""
+        forms = self.forms
+        if forms and (piece.n, piece.q) != (forms[0].n, forms[0].q):
+            raise ValueError("mismatched shapes in sphere inner product")
+        nums, ds = [0] * len(forms), [1] * len(forms)
+        averages, n = self.averages, piece.n
+        for field, (restriction, _) in piece._sphere_entries().items():
+            table = averages.get(field)
+            if table is None:
+                table = averages[field] = {}
+            for alpha, c in restriction.items():
+                entries = table.get(alpha)
+                if entries is None:
+                    entries = table[alpha] = self._fill(field, alpha, n)
+                for j, an, ad in entries:
+                    d = ds[j]
+                    if ad == d:
+                        nums[j] += c * an
+                    elif ad > d:
+                        nums[j] = nums[j] * (ad // d) + c * an
+                        ds[j] = ad
+                    else:
+                        nums[j] += c * an * (d // ad)
+        return nums, ds
 
 
 def sphere_gram(forms: list) -> list:

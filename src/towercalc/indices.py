@@ -23,9 +23,12 @@ from .towers import TowerIndex, multiplicity
 
 
 def in_weighted_l2(index: TowerIndex, s, n: int) -> bool:
-    """True iff the member's homogeneity class lies in the weight-s space."""
+    """True iff the member's homogeneity class lies in the weight-s space:
+    degree < -s - n/2, compared in integers as
+    2 (degree s.den + s.num) + n s.den < 0."""
     require_odd_dimension(n)
-    return qq(index.degree(n)) < -qq(s) - QQ(n, 2)
+    s = qq(s)
+    return 2 * (index.degree(n) * s.denominator + s.numerator) + n * s.denominator < 0
 
 
 # The most work an excluded set may take: sigma steps walked plus indices

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .ring import QQ
+from .ring import QQ, _Q0
 
 
 def _reduce(row: dict, prow: dict, p: int) -> dict:
@@ -99,17 +99,22 @@ def exact_inverse(rows: list) -> tuple:
             for i, row in enumerate(red)], d
 
 
-def inverse_times(inverse: tuple, rhs: list) -> list:
-    """M rhs / d for an exact_inverse (M, d) and rational rhs: the rhs is
-    put over one denominator, and each entry is one integer dot product and
-    one QQ."""
+def inverse_times(inverse: tuple, rhs: list, den: int) -> list:
+    """M rhs / (d den) for an exact_inverse (M, d) and a right-hand side of
+    integers over one denominator den > 0: each entry is one integer dot
+    product and one QQ, and the shared _Q0 where the dot product is 0."""
     matrix, d = inverse
-    den = lcm(*(c.denominator for c in rhs))
-    ints = [c.numerator * (den // c.denominator) for c in rhs]
     den *= d
-    return [QQ(sum(m * x for m, x in zip(row, ints)), den) for row in matrix]
+    out = []
+    for row in matrix:
+        v = sum(m * x for m, x in zip(row, rhs))
+        out.append(QQ(v, den) if v else _Q0)
+    return out
 
 
 def solve_posdef(gram: list, rhs: list) -> list:
-    """The solution of G c = rhs for a nonsingular (positive definite) G."""
-    return inverse_times(exact_inverse(gram), rhs)
+    """The solution of G c = rhs for a nonsingular (positive definite) G and
+    a rational rhs."""
+    den = lcm(*(c.denominator for c in rhs))
+    return inverse_times(exact_inverse(gram),
+                         [c.numerator * (den // c.denominator) for c in rhs], den)

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .errors import (SCHEMA, ConsistencyError, InvalidRankError, require_dim,
                      require_int, require_odd_dimension, require_schema)
-from .forms import Form, R_op, T_op, sphere_gram, sphere_inner_product
+from .forms import Form, R_op, T_op, SpherePairing, sphere_gram, sphere_inner_product
 from .harmonic import mu, seed_basis
 from .linalg import exact_inverse, matrix_rank
 from .records import FrozenRecord, Record
@@ -448,9 +448,9 @@ def checked_gram(forms: list, rank: int, line: str, degree: int) -> list:
 
 
 class TowerContext:
-    """Caches built families, block members, block Grams and their inverses
-    and the checked exceptional slots, and resolves TowerIndex lookups per
-    rank/line."""
+    """Caches built families, block members, block Grams and their inverses,
+    the pairing index of each degree's candidates and the checked exceptional
+    slots, and resolves TowerIndex lookups per rank/line."""
 
     def __init__(self, n: int):
         require_odd_dimension(n)
@@ -459,6 +459,7 @@ class TowerContext:
         self._blocks: dict = {}
         self._block_grams: dict = {}
         self._block_inverses: dict = {}
+        self._pairings: dict = {}
         self._hat_grams: dict = {}
 
     def family(self, q: int, sign: int, sigma: int, floors: int) -> TowerFamily:
@@ -495,16 +496,38 @@ class TowerContext:
             members = self._blocks[key] = tuple(members)
         return members
 
-    def candidates(self, rank: int, line: str, degree: int, k_max: int) -> list:
-        """The members (index, form) of every block of a rank/line at one
-        coefficient degree with floor <= k_max, in (k, sign, m) order."""
-        out = []
+    def _degree_blocks(self, rank: int, line: str, degree: int, k_max: int):
+        """((sign, k, sigma), members) of every block of a rank/line at one
+        coefficient degree with floor <= k_max, in (k, sign) order."""
         for k in range(k_max + 1):
             for sign in (1, -1):
                 sigma = degree - k if sign > 0 else k - self.n - degree
                 if sigma >= 0:
-                    out += self.block(rank, line, sign, k, sigma)
-        return out
+                    yield (sign, k, sigma), self.block(rank, line, sign, k, sigma)
+
+    def candidates(self, rank: int, line: str, degree: int, k_max: int) -> list:
+        """The members (index, form) of every block of a rank/line at one
+        coefficient degree with floor <= k_max, in (k, sign, m) order."""
+        return [c for _, members in self._degree_blocks(rank, line, degree, k_max)
+                for c in members]
+
+    def pairing(self, rank: int, line: str, degree: int, k_max: int) -> tuple:
+        """(candidates, spans, index) for candidates(rank, line, degree,
+        k_max), made once per context: spans lists ((sign, k, sigma), start,
+        stop) for each nonempty block, whose members are candidates[start:
+        stop], and index is the forms.SpherePairing of the candidates' forms,
+        which gives a form's products with all of them in one walk."""
+        key = (rank, line, degree, k_max)
+        pairing = self._pairings.get(key)
+        if pairing is None:
+            cands, spans = [], []
+            for block, members in self._degree_blocks(*key):
+                if members:
+                    spans.append((block, len(cands), len(cands) + len(members)))
+                    cands += members
+            pairing = self._pairings[key] = (cands, spans,
+                                             SpherePairing(f for _, f in cands))
+        return pairing
 
     def block_gram(self, rank: int, line: str, sign: int, k: int, sigma: int) -> list:
         """checked_gram of block(rank, line, sign, k, sigma), computed on first

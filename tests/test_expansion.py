@@ -10,13 +10,14 @@ from towercalc.expansion import (ExpansionResult, MaxwellPair, _expand_side,
                                  iterated_maxwell_check, lemma34_classify,
                                  maxwell_map, membership_filter,
                                  tower_candidates)
-from towercalc.forms import Form, sphere_gram, sphere_inner_product
+from towercalc.forms import Form, SpherePairing, sphere_gram, sphere_inner_product
 from towercalc.indices import in_weighted_l2
 from towercalc.ring import QQ, RadialRingElement, qq
 from towercalc.towers import (TowerContext, TowerIndex, checked_gram,
                               exceptional_form)
 
-from oracles import expand_side_by_solves, expand_side_full_gram
+from oracles import (expand_side_by_solves, expand_side_full_gram,
+                     fraction_sphere_inner_product)
 
 
 def make_pair(ctx, q, parts):
@@ -482,5 +483,83 @@ def test_exceptional_slot_is_checked_once_per_context(monkeypatch):
     assert expand(pair, 3, ctx).to_obj() == first.to_obj()
     assert len(calls) == made
     assert ctx.hat_gram(hat, 1, "D", 2) is gram
+    expand(pair, 3, TowerContext(3))
+    assert len(calls) > made
+
+
+# ---------------------------------------------------------------------------
+# the pairing index of each degree's candidates
+# ---------------------------------------------------------------------------
+
+@given(data=st.data())
+def test_pairing_index_products_match_the_fraction_pairing(ctx3, ctx5, data):
+    """The pairing index gives each candidate's product with a piece as the
+    Fraction pairing does: on member mixtures, whose cross-block products
+    cancel to exactly 0, on the exceptional slot, orthogonal to every
+    candidate, on forms outside the span, and on pieces with a component
+    field that none of the indexed forms has.  It keeps no zero average."""
+    draw = data.draw
+    n, k_max_bound, sigma_max = draw(st.sampled_from(_BLOCK_GRID))
+    ctx = ctx3 if n == 3 else ctx5
+    line, rank = draw(st.sampled_from(_lines(n)))
+    k_max = draw(st.integers(0, k_max_bound))
+    hat = exceptional_form("D_hat" if line == "D" else "R_hat", n, rank, k_max + 1)
+    coef = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    if not hat.is_zero and draw(st.booleans()):
+        piece = hat.resolve(ctx).scale(draw(coef.filter(bool)))
+        degree = piece.homogeneous_degree()
+    else:
+        piece = Form.zero(n, rank)
+        degree = draw(st.sampled_from(_degrees(n, k_max, sigma_max)))
+    cands, _, index = ctx.pairing(rank, line, degree, k_max)
+    forms = [f for _, f in cands]
+    for f in forms:
+        if draw(st.booleans()):
+            piece = piece + f.scale(draw(coef))
+    if draw(st.booleans()):
+        piece = piece + _outside_form(n, rank, degree, draw)
+    if draw(st.booleans()):
+        # index the candidates without one component, which the piece has
+        drop = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=rank, max_size=rank))))
+        forms = [Form(n, rank, {idx: el for idx, el in f.components.items() if idx != drop})
+                 for f in forms]
+        index = SpherePairing(forms)
+        piece = piece + Form.dx(n, drop, RadialRingElement.r_power(n, degree))
+    if draw(st.booleans()):
+        # the same form with its table in reverse key order: the walk then
+        # meets the smaller average denominators first
+        piece = Form._make(n, rank, dict(reversed(piece.terms.items())), piece.den)
+    memos: dict = {}
+    for _ in range(2):                        # the second walk reads the filled entries
+        nums, ds = index.numerators(piece)
+        assert [QQ(num, d * piece.den) for num, d in zip(nums, ds)] == \
+            [fraction_sphere_inner_product(piece, f, memos) for f in forms]
+    assert all(num for table in index.averages.values() for entries in table.values()
+               for _, num, _ in entries)
+
+
+def test_pairing_index_is_filled_once_per_context(monkeypatch):
+    """The first expansion fills the pairing index; a second one on the same
+    context adds no entries and computes no average, and a fresh context
+    computes them again."""
+    from towercalc import forms
+    calls = []
+    real = forms._average_against
+    monkeypatch.setattr(forms, "_average_against",
+                        lambda *args: calls.append(1) or real(*args))
+
+    def entries(ctx):
+        return sum(len(table) for _, _, index in ctx._pairings.values()
+                   for table in index.averages.values())
+
+    pair = make_pair(TowerContext(3), 1, [("e", TowerIndex(1, 1, 1, 2), "3/7"),
+                                         ("e", TowerIndex(-1, 2, 0, 1), "2"),
+                                         ("h", TowerIndex(1, 2, 0, 1), "-5")])
+    ctx = TowerContext(3)
+    first = expand(pair, 3, ctx)
+    made, filled = len(calls), entries(ctx)
+    assert made > 0 and filled > 0
+    assert expand(pair, 3, ctx).to_obj() == first.to_obj()
+    assert (len(calls), entries(ctx)) == (made, filled)
     expand(pair, 3, TowerContext(3))
     assert len(calls) > made

@@ -42,6 +42,25 @@ def test_membership_matches_inequality(k, sigma, s):
         assert in_weighted_l2(idx, qq(s), n) == want
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_membership_in_integers_matches_the_fraction_formula(n):
+    """Integer, p/q and negative weights, as int, str and QQ, and each
+    index's boundary weight -degree - n/2 with its neighbours."""
+    weights = [0, 2, -3, "5/2", "-7/3", "4/6", QQ(-1, 6), QQ(11, 4)]
+    for sign in (1, -1):
+        for k in range(4):
+            for sigma in range(4):
+                idx = TowerIndex(sign, k, sigma, 1)
+                degree = Fraction(idx.degree(n))
+                boundary = -degree - Fraction(n, 2)
+                assert not in_weighted_l2(idx, boundary, n)
+                assert not in_weighted_l2(idx, str(boundary), n)
+                for s in weights + [boundary, boundary - Fraction(1, 7),
+                                    boundary + Fraction(1, 7), str(boundary - 1)]:
+                    want = degree < -Fraction(s) - Fraction(n, 2)
+                    assert in_weighted_l2(idx, s, n) == want, (idx, s)
+
+
 def test_multiplicity_parity_rules():
     n = 3
     # D-line on rank q: even floors mu^q, odd floors mu^{q+1}

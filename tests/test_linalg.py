@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from towercalc.linalg import exact_inverse, matrix_rank, rref, solve_posdef
+from towercalc.linalg import _Q0, exact_inverse, inverse_times, matrix_rank, rref, solve_posdef
 from towercalc.ring import QQ, qq
 
 from oracles import dense_rref, dense_solve, nullspace
@@ -169,6 +169,21 @@ def test_solve_posdef_on_gram_plus_identity(rows, data):
     for i in range(cols):
         assert sum(gram[i][j] * got[j] for j in range(cols)) == rhs[i]
     assert got == dense_solve(gram, rhs)
+
+
+@given(matrices(max_rows=4, max_cols=4), st.data())
+def test_inverse_times_takes_integers_over_one_denominator(rows, data):
+    """inverse_times(inverse, ints, den) solves G c = ints / den; a zero
+    entry of the solution is the shared _Q0."""
+    gram = _gram(rows)
+    for i in range(len(gram)):
+        gram[i][i] += 1
+    ints = [data.draw(st.integers(-9, 9)) for _ in gram]
+    den = data.draw(st.integers(1, 12))
+    got = inverse_times(exact_inverse(gram), ints, den)
+    assert got == dense_solve(gram, [QQ(x, den) for x in ints])
+    assert all(c is _Q0 for c in got if not c)
+    assert all(c is _Q0 for c in inverse_times(exact_inverse(gram), [0] * len(gram), den))
 
 
 @given(matrices(square=True))
